@@ -3,13 +3,16 @@
 Each benchmark regenerates one table or figure from the paper's evaluation
 (Section V), prints the reproduced rows/series and stores them under
 ``benchmarks/results/`` so they can be compared against the paper (see
-EXPERIMENTS.md).
+EXPERIMENTS.md).  Those reports are deterministic and tracked: a diff after
+a run means the reproduced numbers changed.
 
 Benchmarks that measure *performance* (wall times, cache hit counts,
-speedups) additionally pass a ``data`` mapping to the :func:`report`
-fixture, which writes it as ``benchmarks/results/BENCH_<name>.json`` — the
-machine-readable perf trajectory CI uploads as artifacts, so speed
-regressions are diffable across runs instead of buried in prose reports.
+speedups) pass a ``data`` mapping to the :func:`report` fixture instead.
+Their reports differ on every run, so they go to the untracked
+``benchmarks/out/`` together with the machine-readable
+``BENCH_<name>.json`` record — the perf trajectory CI uploads as artifacts,
+so speed regressions are diffable across runs instead of buried in prose
+reports.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ if str(_SRC) not in sys.path:
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
+#: Run-dependent outputs (timing reports, BENCH records, event-log samples).
+PERF_DIR = Path(__file__).resolve().parent / "out"
+
 #: Bump when the JSON envelope below changes shape.
 BENCH_SCHEMA = 1
 
@@ -38,6 +44,13 @@ def results_dir() -> Path:
     """Directory where reproduced tables/figures are written."""
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
+
+
+@pytest.fixture(scope="session")
+def perf_dir() -> Path:
+    """Directory where run-dependent perf outputs are written."""
+    PERF_DIR.mkdir(exist_ok=True)
+    return PERF_DIR
 
 
 def write_bench_json(
@@ -66,12 +79,13 @@ def write_bench_json(
 
 
 @pytest.fixture
-def report(results_dir):
+def report(results_dir, perf_dir):
     """Return a function that prints a report and stores it on disk.
 
-    ``report(name, text)`` writes the human-readable ``<name>.txt``;
-    ``report(name, text, data={...})`` additionally emits the
-    machine-readable ``BENCH_<name>.json`` perf record.
+    ``report(name, text)`` writes the human-readable ``<name>.txt`` under
+    ``results/``; ``report(name, text, data={...})`` writes it under
+    ``out/`` instead and additionally emits the machine-readable
+    ``BENCH_<name>.json`` perf record there.
     """
 
     def _report(
@@ -81,8 +95,9 @@ def report(results_dir):
         print("=" * 78)
         print(text)
         print("=" * 78)
-        (results_dir / f"{name}.txt").write_text(text + "\n")
+        target = results_dir if data is None else perf_dir
+        (target / f"{name}.txt").write_text(text + "\n")
         if data is not None:
-            write_bench_json(results_dir, name, data)
+            write_bench_json(perf_dir, name, data)
 
     return _report

@@ -14,7 +14,7 @@ process-pool — and checks that
   the instrumented one.
 
 The instrumented serial run additionally writes
-``benchmarks/results/metrics_sample.jsonl`` — a sample of the structured
+``benchmarks/out/metrics_sample.jsonl`` — a sample of the structured
 event log (campaign/variant events plus a closing metrics snapshot) that CI
 uploads next to the ``BENCH_*.json`` records.
 """
@@ -54,7 +54,7 @@ def acceptance_grid() -> ScenarioGrid:
 
 
 @pytest.fixture(scope="module")
-def campaign_runs(results_dir):
+def campaign_runs(perf_dir):
     """Fly the acceptance grid serially (with a JSONL event-log sample),
     on the pool, and serially again with observability disabled."""
     grid = acceptance_grid()
@@ -70,7 +70,7 @@ def campaign_runs(results_dir):
         CampaignRunner(mode="serial", telemetry=False).run(grid)
     finally:
         obs.set_enabled(True)
-    sample_path = results_dir / "metrics_sample.jsonl"
+    sample_path = perf_dir / "metrics_sample.jsonl"
     sample_path.unlink(missing_ok=True)
     with obs.EventLog(sample_path, run_id="bench") as log:
         previous = obs.set_event_log(log)
@@ -131,11 +131,11 @@ def test_serial_and_parallel_campaigns_agree(campaign_runs, report):
     })
 
 
-def test_metrics_sample_written(campaign_runs, results_dir):
+def test_metrics_sample_written(campaign_runs, perf_dir):
     """The serial run leaves a well-formed JSONL event-log sample behind."""
     import json
 
-    sample_path = results_dir / "metrics_sample.jsonl"
+    sample_path = perf_dir / "metrics_sample.jsonl"
     assert sample_path.exists()
     records = [
         json.loads(line)

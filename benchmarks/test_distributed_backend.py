@@ -1,27 +1,20 @@
-"""Distributed-backend acceptance: the ISSUE's 12-variant grid, for real.
+"""Distributed-backend acceptance: the 12-variant grid, for real.
 
 Flies the acceptance grid (2 MemGuard budgets x 2 attack starts x 3 seeds)
-several ways and checks the tentpole guarantees end to end:
+and checks the distributed backend's guarantees end to end:
 
 * **serial reference** — no store, the ground truth;
-* **distributed cold** — 2 spawned worker processes over the file
-  work-queue, persisting summaries *and* trajectory arrays
-  (``record_arrays``): outcomes must be identical to serial;
+* **distributed cold** — 2 spawned worker processes on the backend's
+  in-process campaign service, over the HTTP work queue with shared-secret
+  authentication enabled, persisting summaries *and* trajectory arrays
+  (``record_arrays``): outcomes must be identical to serial bit for bit;
 * **distributed warm** — the same grid again: everything is served from the
-  store (12 hits, zero flights) and every variant's trajectory arrays load;
-* **socket cold/warm** — the same guarantees over the TCP transport
-  (``transport="socket"``, its own store): 2 workers connected to the
-  coordinator's JSON-lines server match serial bit-for-bit, and the warm
-  re-run serves 12/12 from the store;
-* **http cold/warm** — the same guarantees over the HTTP transport with
-  shared-secret authentication enabled (``transport="http"``,
-  ``auth_token``): authenticated workers behind the one-POST-per-operation
-  protocol match serial bit-for-bit, warm re-run 12/12 from the store.
+  store (12 hits, zero flights) and every variant's trajectory arrays load.
 
 Flights are short (2 s) to keep the benchmark affordable; the figure-level
-physics is exercised by the dedicated fig4-7 benchmarks.  The wall times,
-flown/cached counts and per-transport speedups land in
-``BENCH_distributed_backend.json`` for the CI perf trajectory.
+physics is exercised by the dedicated fig4-7 benchmarks.  The wall times and
+flown/cached counts land in ``BENCH_distributed_backend.json`` for the CI
+perf trajectory.
 """
 
 from __future__ import annotations
@@ -35,8 +28,8 @@ from repro.store import CampaignStore
 
 FLIGHT_DURATION = 2.0
 
-#: Shared secret for the authenticated HTTP leg — the acceptance run doubles
-#: as the end-to-end proof that auth costs nothing in fidelity.
+#: Shared secret of the campaign — the acceptance run doubles as the
+#: end-to-end proof that auth costs nothing in fidelity.
 HTTP_AUTH_TOKEN = "bench-shared-secret"
 
 
@@ -57,7 +50,9 @@ def distributed_runs(tmp_path_factory):
     grid = acceptance_grid()
     assert len(grid) == 12
     serial = CampaignRunner(mode="serial").run(grid)
-    backend = DistributedBackend(workers=2, lease_timeout=120.0)
+    backend = DistributedBackend(
+        workers=2, lease_timeout=120.0, auth_token=HTTP_AUTH_TOKEN,
+    )
     cold = CampaignRunner(
         backend=backend, store=CampaignStore(store_dir), record_arrays=True
     ).run(grid)
@@ -67,63 +62,18 @@ def distributed_runs(tmp_path_factory):
     return store_dir, serial, cold, warm
 
 
-@pytest.fixture(scope="module")
-def socket_runs(tmp_path_factory):
-    store_dir = tmp_path_factory.mktemp("socket-store")
-    grid = acceptance_grid()
-    backend = DistributedBackend(
-        workers=2, lease_timeout=120.0, transport="socket"
-    )
-    cold = CampaignRunner(
-        backend=backend, store=CampaignStore(store_dir), record_arrays=True
-    ).run(grid)
-    warm = CampaignRunner(
-        backend=backend, store=CampaignStore(store_dir), record_arrays=True
-    ).run(grid)
-    return store_dir, cold, warm
-
-
-@pytest.fixture(scope="module")
-def http_runs(tmp_path_factory):
-    store_dir = tmp_path_factory.mktemp("http-store")
-    grid = acceptance_grid()
-    backend = DistributedBackend(
-        workers=2, lease_timeout=120.0, transport="http",
-        auth_token=HTTP_AUTH_TOKEN,
-    )
-    cold = CampaignRunner(
-        backend=backend, store=CampaignStore(store_dir), record_arrays=True
-    ).run(grid)
-    warm = CampaignRunner(
-        backend=backend, store=CampaignStore(store_dir), record_arrays=True
-    ).run(grid)
-    return store_dir, cold, warm
-
-
-def test_distributed_matches_serial(
-    distributed_runs, socket_runs, http_runs, report
-):
+def test_distributed_matches_serial(distributed_runs, report):
     _, serial, cold, warm = distributed_runs
     assert cold.fallback_reason is None
     assert cold.failures() == ()
     assert cold.summaries() == serial.summaries()
 
-    _, socket_cold, socket_warm = socket_runs
-    _, http_cold, http_warm = http_runs
     rows = [
         ["serial", f"{serial.wall_time:.1f} s", "-"],
-        ["distributed cold (2 workers, file)", f"{cold.wall_time:.1f} s",
-         f"{cold.cache_misses} flown"],
-        ["distributed warm (file)", f"{warm.wall_time:.2f} s",
-         f"{warm.cache_hits} from store"],
-        ["distributed cold (2 workers, socket)",
-         f"{socket_cold.wall_time:.1f} s", f"{socket_cold.cache_misses} flown"],
-        ["distributed warm (socket)", f"{socket_warm.wall_time:.2f} s",
-         f"{socket_warm.cache_hits} from store"],
         ["distributed cold (2 workers, http+auth)",
-         f"{http_cold.wall_time:.1f} s", f"{http_cold.cache_misses} flown"],
-        ["distributed warm (http+auth)", f"{http_warm.wall_time:.2f} s",
-         f"{http_warm.cache_hits} from store"],
+         f"{cold.wall_time:.1f} s", f"{cold.cache_misses} flown"],
+        ["distributed warm (http+auth)", f"{warm.wall_time:.2f} s",
+         f"{warm.cache_hits} from store"],
     ]
 
     def _leg(result):
@@ -141,52 +91,20 @@ def test_distributed_matches_serial(
         "flights": 12,
         "flight_duration_s": FLIGHT_DURATION,
         "serial_wall_s": round(serial.wall_time, 3),
-        "file_cold": _leg(cold),
-        "file_warm": _leg(warm),
-        "socket_cold": _leg(socket_cold),
-        "socket_warm": _leg(socket_warm),
-        "http_cold": _leg(http_cold),
-        "http_warm": _leg(http_warm),
+        "http_cold": _leg(cold),
+        "http_warm": _leg(warm),
     })
 
 
-def test_socket_transport_matches_serial_bit_for_bit(
-    distributed_runs, socket_runs
-):
-    _, serial, _, _ = distributed_runs
-    _, cold, _ = socket_runs
+def test_http_transport_matches_serial_bit_for_bit(distributed_runs):
+    _, serial, cold, _ = distributed_runs
     assert cold.fallback_reason is None
     assert cold.failures() == ()
     assert cold.summaries() == serial.summaries()
 
 
-def test_socket_warm_run_serves_everything_from_store(
-    distributed_runs, socket_runs
-):
-    _, serial, _, _ = distributed_runs
-    store_dir, _, warm = socket_runs
-    assert (warm.cache_hits, warm.cache_misses) == (12, 0)
-    assert warm.summaries() == serial.summaries()
-    store = CampaignStore(store_dir)
-    for variant in acceptance_grid().variants():
-        assert store.get_arrays(variant) is not None
-
-
-def test_http_transport_matches_serial_bit_for_bit(
-    distributed_runs, http_runs
-):
-    _, serial, _, _ = distributed_runs
-    _, cold, _ = http_runs
-    assert cold.fallback_reason is None
-    assert cold.failures() == ()
-    assert cold.summaries() == serial.summaries()
-
-
-def test_http_warm_run_serves_everything_from_store(
-    distributed_runs, http_runs
-):
-    _, serial, _, _ = distributed_runs
-    store_dir, _, warm = http_runs
+def test_http_warm_run_serves_everything_from_store(distributed_runs):
+    store_dir, serial, _, warm = distributed_runs
     assert (warm.cache_hits, warm.cache_misses) == (12, 0)
     assert warm.summaries() == serial.summaries()
     store = CampaignStore(store_dir)

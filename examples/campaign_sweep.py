@@ -11,8 +11,8 @@ Usage::
     python examples/campaign_sweep.py [--duration SECONDS] [--seeds N]
         [--budgets B1,B2,...] [--attack-starts T1,T2,...] [--serial]
         [--backend serial|process-pool|distributed|service] [--workers N]
-        [--transport file|socket|http] [--port PORT] [--auth-token TOKEN]
-        [--connect-http URL] [--max-workers N] [--store DIR]
+        [--port PORT] [--auth-token TOKEN] [--connect-http URL]
+        [--max-workers N] [--store DIR]
         [--record-arrays] [--csv PATH] [--json PATH]
 
 With ``--backend service --connect-http http://host:port`` the flights run
@@ -53,24 +53,19 @@ def main() -> None:
                                  "service"),
                         default=None,
                         help="explicit executor backend (distributed spawns "
-                             "local worker processes over a file work-queue; "
-                             "service submits to a running campaign-service "
-                             "daemon, see --connect-http)")
+                             "local worker processes on an in-process "
+                             "campaign service; service submits to a running "
+                             "campaign-service daemon, see --connect-http)")
     parser.add_argument("--workers", type=int, default=2,
                         help="worker processes for --backend distributed "
                              "(default: 2)")
-    parser.add_argument("--transport", choices=("file", "socket", "http"),
-                        default="file",
-                        help="work-queue transport for --backend distributed: "
-                             "a shared directory, the coordinator's TCP "
-                             "server, or its HTTP server (default: file)")
     parser.add_argument("--port", type=int, default=None,
-                        help="fixed coordinator port for the socket/http "
-                             "transports (lets an external probe scrape "
+                        help="fixed coordinator port for --backend "
+                             "distributed (lets an external probe scrape "
                              "GET /metrics and GET /status mid-campaign)")
     parser.add_argument("--auth-token", default=None,
-                        help="shared-secret token for the socket/http "
-                             "transports or the service backend (default: "
+                        help="shared-secret token for --backend distributed "
+                             "or service (default: "
                              "$REPRO_CAMPAIGN_AUTH_TOKEN)")
     parser.add_argument("--connect-http", default=None, metavar="URL",
                         help="campaign-service base URL for --backend "
@@ -94,10 +89,8 @@ def main() -> None:
         parser.error("--record-arrays requires --store")
     if args.auth_token and args.backend not in ("distributed", "service"):
         parser.error("--auth-token requires --backend distributed or service")
-    if args.port is not None and (args.backend != "distributed"
-                                  or args.transport == "file"):
-        parser.error("--port requires --backend distributed with a "
-                     "socket or http transport")
+    if args.port is not None and args.backend != "distributed":
+        parser.error("--port requires --backend distributed")
     if (args.connect_http is None) != (args.backend != "service"):
         parser.error("--backend service and --connect-http URL go together")
 
@@ -113,7 +106,7 @@ def main() -> None:
 
         options = {}
         if args.backend == "distributed":
-            options = {"workers": args.workers, "transport": args.transport,
+            options = {"workers": args.workers,
                        "max_workers": args.max_workers,
                        "auth_token": args.auth_token}
             if args.port is not None:

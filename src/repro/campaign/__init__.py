@@ -9,7 +9,7 @@ sweep-grid syntax, caching/resume semantics and examples; campaigns are also
 runnable from spec files via ``python -m repro.campaign``.
 
 The package logs under per-module child loggers (``repro.campaign.runner``,
-``repro.campaign.backends``, ``repro.campaign.workqueue``, ...) of the
+``repro.campaign.service``, ``repro.campaign.transport``, ...) of the
 ``repro.campaign`` hierarchy; the :class:`~logging.NullHandler` below keeps
 a handler-less embedding application from getting "No handlers could be
 found" noise while letting any configured handler see everything.
@@ -25,16 +25,13 @@ from .backends import (
     SerialBackend,
     ServiceBackend,
     get_backend,
-    spawn_worker,
 )
 from .grid import AxisApplier, GridVariant, ScenarioGrid, register_axis, resolve_applier
 from .results import CampaignCell, CampaignResult, VariantOutcome
 from .runner import CampaignRunner, run_campaign, trajectory_arrays
-from .transport import SocketWorkQueue, SocketWorkQueueClient
-from .transport_http import HttpWorkQueue, HttpWorkQueueClient
+from .transport import HttpWorkQueue, HttpWorkQueueClient
 from .workqueue import (
     PROTOCOL_VERSION,
-    FileWorkQueue,
     WorkQueue,
     WorkQueueAuthError,
     WorkQueueProtocolError,
@@ -52,7 +49,6 @@ __all__ = [
     "CampaignRunner",
     "DistributedBackend",
     "ExecutorBackend",
-    "FileWorkQueue",
     "GridVariant",
     "HttpWorkQueue",
     "HttpWorkQueueClient",
@@ -60,8 +56,6 @@ __all__ = [
     "ScenarioGrid",
     "SerialBackend",
     "ServiceBackend",
-    "SocketWorkQueue",
-    "SocketWorkQueueClient",
     "VariantOutcome",
     "WorkQueue",
     "WorkQueueAuthError",
@@ -71,6 +65,5 @@ __all__ = [
     "resolve_applier",
     "resolve_auth_tokens",
     "run_campaign",
-    "spawn_worker",
     "trajectory_arrays",
 ]

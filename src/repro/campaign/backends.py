@@ -19,29 +19,21 @@ item is still running, so a killed campaign loses nothing that finished.
 from __future__ import annotations
 
 import functools
-import logging
 import os
-import shutil
-import subprocess
-import sys
-import tempfile
 import time
-import uuid
-import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Iterator, Protocol, Sequence, runtime_checkable
-
-from ..obs import default_registry, emit
-from .workqueue import (
-    AUTH_TOKEN_ENV,
-    FileWorkQueue,
-    WorkQueue,
-    resolve_auth_token,
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Protocol,
+    Sequence,
+    runtime_checkable,
 )
 
-logger = logging.getLogger(__name__)
+from .workqueue import resolve_auth_token
 
 __all__ = [
     "ExecutorBackend",
@@ -51,51 +43,48 @@ __all__ = [
     "DistributedBackend",
     "ServiceBackend",
     "get_backend",
-    "spawn_worker",
+    "ordered",
 ]
 
 #: Completion-order callback: ``on_complete(input_index, result)``.
 CompletionCallback = Callable[[int, Any], None]
 
 
-def spawn_worker(
-    worker_args: list[str],
-    transport: str = "file",
-    auth_token: str | None = None,
-    lease_timeout: float = 30.0,
-    poll_interval: float = 0.05,
-) -> subprocess.Popen:
-    """Spawn one ``python -m repro.campaign.worker`` process.
+def ordered(
+    completions: Iterable[tuple[int, Any]],
+    total: int,
+    on_complete: CompletionCallback | None = None,
+) -> Iterator[Any]:
+    """Yield ``total`` results in input order from ``(index, result)`` pairs
+    arriving in completion order.
 
-    Shared by the single-campaign :class:`DistributedBackend` and the
-    persistent :class:`~repro.campaign.service.CampaignService` fleet, so
-    the careful parts are written once: whatever is importable here is made
-    importable in the worker (task payloads reference functions by module
-    path), and the shared secret travels via the environment — never argv,
-    which is world-readable in process listings.
+    ``on_complete`` fires the moment each pair arrives, so the runner can
+    persist a flight that finished while an earlier one is still running.
+    A repeated index (a re-issued lease completed twice) is ignored.  The
+    loop stops as soon as all ``total`` results have been yielded.
     """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(entry for entry in sys.path if entry)
-    if auth_token is not None:
-        env[AUTH_TOKEN_ENV] = auth_token
-    default_registry().counter(
-        "repro_worker_spawns_total",
-        "Worker processes spawned by distributed coordinators.",
-    ).inc()
-    emit("worker-spawn", "campaign.backends", transport=transport)
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.campaign.worker",
-            *worker_args,
-            "--lease-timeout",
-            str(lease_timeout),
-            "--poll",
-            str(poll_interval),
-        ],
-        env=env,
-    )
+    ready: dict[int, Any] = {}
+    next_index = 0
+    for index, result in completions:
+        if index < next_index or index in ready:
+            continue
+        if on_complete is not None:
+            on_complete(index, result)
+        ready[index] = result
+        while next_index in ready:
+            yield ready.pop(next_index)
+            next_index += 1
+        if next_index >= total:
+            return
+
+
+def unwrap(source: str, index: int, raw: Any) -> Any:
+    """Value of one work-queue result: ``("ok", value)`` is the value,
+    ``("error", traceback)`` raises with the remote traceback."""
+    status, value = raw
+    if status != "ok":
+        raise RuntimeError(f"{source} worker failed on item {index}:\n{value}")
+    return value
 
 
 @runtime_checkable
@@ -239,207 +228,100 @@ class ProcessPoolBackend:
             return
         workers = min(self.max_workers or os.cpu_count() or 1, len(items))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            if on_complete is None:
-                yield from pool.map(fn, items)
-                return
-            futures = [pool.submit(fn, item) for item in items]
-            index_of = {future: index for index, future in enumerate(futures)}
-            pending = set(futures)
-            next_index = 0
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                # Report completions immediately (completion order) so the
-                # caller can persist them; an interrupt between completions
-                # then loses nothing that already ran.
-                for future in sorted(done, key=index_of.__getitem__):
-                    on_complete(index_of[future], future.result())
-                while next_index < len(futures) and futures[next_index].done():
-                    yield futures[next_index].result()
-                    next_index += 1
-            while next_index < len(futures):
-                yield futures[next_index].result()
-                next_index += 1
+            index_of = {pool.submit(fn, item): index
+                        for index, item in enumerate(items)}
+            yield from ordered(
+                ((index_of[future], future.result())
+                 for future in as_completed(index_of)),
+                len(items), on_complete,
+            )
 
 
 @dataclass(frozen=True)
 class DistributedBackend:
     """Work-queue executor: a coordinator plus N worker *processes*.
 
-    The coordinator serialises every item into a
-    :class:`~repro.campaign.workqueue.WorkQueue`, spawns ``workers`` local
-    worker processes (``python -m repro.campaign.worker``), and polls for
-    results.  Two transports implement the queue protocol:
+    Each :meth:`map` call starts an in-process
+    :class:`~repro.campaign.service.CampaignService` on ``host``/``port``
+    (the HTTP work queue of :mod:`repro.campaign.transport`), hosts the
+    campaign there as one run, drains it and closes the service again.  The
+    service spawns ``workers`` local worker processes
+    (``python -m repro.campaign.worker --connect-http URL``); with a fixed
+    ``port`` and ``workers=0`` an external fleet attaches instead, from any
+    host that can reach the port — directly or through an HTTP proxy.
 
-    * ``transport="file"`` — a shared
-      :class:`~repro.campaign.workqueue.FileWorkQueue` directory; additional
-      workers may attach from anywhere that shares it (other shells,
-      containers, machines on a network filesystem) — pass ``queue_dir`` and
-      ``workers=0`` to bring your own fleet.
-    * ``transport="socket"`` — a coordinator-hosted
-      :class:`~repro.campaign.transport.SocketWorkQueue` TCP server (JSON
-      lines, see :mod:`repro.campaign.transport`); workers attach with
-      ``--connect host:port`` from any host that can reach the port, no
-      shared filesystem required.
-    * ``transport="http"`` — a coordinator-hosted
-      :class:`~repro.campaign.transport_http.HttpWorkQueue` HTTP/JSON
-      server (one POST per queue operation, see
-      :mod:`repro.campaign.transport_http`); workers attach with
-      ``--connect-http URL`` through any reverse proxy or load balancer
-      that can forward a POST.
-
-    Authentication: both network transports accept a shared-secret
-    ``auth_token`` (explicit, or from ``$REPRO_CAMPAIGN_AUTH_TOKEN``);
-    workers must present it on every request or are rejected with a
-    distinct error.  The coordinator hands the token to spawned workers
-    through the environment — never the command line — and the token is
-    excluded from the backend's ``repr``, logs and results.  The file
-    transport has no authentication layer; configuring a token there is
-    rejected loudly rather than silently ignored.
-
-    Fault tolerance: workers heartbeat their lease every quarter of
-    ``lease_timeout``; a worker that dies mid-task stops heartbeating, the
-    coordinator re-queues the task, and another worker picks it up.  Results
-    arrive out of order and are yielded in input order; ``on_complete`` fires
-    the moment each item finishes so the runner can persist it immediately.
-
-    Autoscaling: with ``max_workers`` set, the coordinator watches the queue
-    backlog and grows the local fleet from ``workers`` up to ``max_workers``
-    processes while tasks are pending, then issues *retire credits* so idle
-    workers exit once the backlog drains.  Scale decisions are appended to
-    :attr:`scale_events` (surfaced on
-    :attr:`~repro.campaign.results.CampaignResult.scale_events`) and logged
-    on the ``repro.campaign`` logger.
+    Everything a fleet needs — spawning and reaping workers, lease
+    re-issue, autoscaling, the crash-loop guard, failing the run when every
+    spawned worker has died — is the service's; this backend only copies
+    the run's :attr:`scale_events` and :attr:`queue_stats` out when it ends.
+    Results arrive out of order and are yielded in input order;
+    ``on_complete`` fires the moment each item finishes so the runner can
+    persist it immediately.  A failed run raises :class:`RuntimeError`, and
+    the runner finishes the campaign serially.
 
     Attributes
     ----------
     workers:
         Local worker processes to spawn up front (``0`` = start none; then
         either autoscaling spawns them on backlog, or an external fleet
-        attaches via ``queue_dir``/``port``).
-    queue_dir:
-        File transport only: shared queue directory; ``None`` creates (and
-        removes) a temporary one, which confines the campaign to local
-        spawned workers.
+        attaches on a fixed ``port``).
     lease_timeout:
         Seconds without a heartbeat before a claimed task is re-issued.
         Must exceed the slowest single flight's heartbeat gap (the heartbeat
         runs on a thread, so only a hard worker death stops it).
     poll_interval:
         Coordinator/worker polling period [s].
-    transport:
-        ``"file"``, ``"socket"`` or ``"http"``.
     host / port:
-        Network transports only: server bind address.  ``port=0`` picks an
-        ephemeral port (fine for spawned workers, who are told the real
-        port; an external fleet needs a fixed one).
+        Server bind address.  ``port=0`` picks an ephemeral port (fine for
+        spawned workers, who are told the real port; an external fleet
+        needs a fixed one).
     auth_token:
-        Network transports only: shared secret workers must present on
-        every request; ``None`` falls back to ``$REPRO_CAMPAIGN_AUTH_TOKEN``
-        (unset = authentication disabled).  Rejected with the file
-        transport, which has no authentication layer.
+        Shared secret workers must present on every request; ``None`` falls
+        back to ``$REPRO_CAMPAIGN_AUTH_TOKEN`` (unset = authentication
+        disabled).  Spawned workers receive it through the environment,
+        never argv; it is excluded from ``repr``, logs and results.
     max_workers:
         Autoscale ceiling for locally spawned workers; ``None`` disables
         autoscaling (the fleet stays at ``workers``).
     """
 
     workers: int = 2
-    queue_dir: str | None = None
     lease_timeout: float = 30.0
     poll_interval: float = 0.05
-    transport: str = "file"
     host: str = "127.0.0.1"
     port: int = 0
-    #: Shared secret for the network transports; repr=False keeps it out of
-    #: dataclass reprs (and thereby logs, warnings and failure reports).
+    #: Shared secret; repr=False keeps it out of dataclass reprs (and
+    #: thereby logs, warnings and failure reports).
     auth_token: str | None = field(default=None, repr=False)
     max_workers: int | None = None
     #: Scale decisions of the most recent ``map`` call, in order: dicts with
     #: ``event`` ("scale-up" / "scale-down"), ``workers`` (alive after),
-    #: ``backlog`` and ``elapsed`` [s] since the campaign started.
+    #: ``backlog`` and ``elapsed`` [s] since the service started.
     scale_events: list = field(default_factory=list, compare=False, repr=False)
-    #: Queue telemetry of the most recent ``map`` call: the transport's
-    #: counter snapshot (claims, completions, lease re-issues, ...) plus
+    #: Queue telemetry of the most recent ``map`` call: the queue's counter
+    #: snapshot (claims, completions, lease re-issues, ...) plus
     #: ``pending_peak``.  Surfaced as ``CampaignResult.telemetry["queue"]``.
     queue_stats: dict = field(default_factory=dict, compare=False, repr=False)
 
     name = "distributed"
 
-    _TRANSPORTS = ("file", "socket", "http")
-    _NETWORK_TRANSPORTS = ("socket", "http")
-
     def __post_init__(self) -> None:
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0")
-        if self.transport not in self._TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {self._TRANSPORTS}, "
-                f"got {self.transport!r}"
-            )
-        if self.transport in self._NETWORK_TRANSPORTS and self.queue_dir is not None:
-            raise ValueError(
-                "queue_dir applies to the file transport only; the "
-                f"{self.transport} transport shares nothing but the "
-                "coordinator's address"
-            )
-        if self.transport == "file":
-            if self.port != 0:
-                raise ValueError(
-                    "port applies to the network transports (socket/http) only"
-                )
-            if self.auth_token is not None:
-                # Matches the orphan-backend_options policy: an option that
-                # cannot take effect is a loud error, never silently
-                # dropped — a token the operator believes protects the
-                # campaign must not be discarded by a transport that has
-                # no authentication layer.
-                raise ValueError(
-                    "auth_token applies to the network transports "
-                    "(socket/http) only; the file transport has no "
-                    "authentication — remove the token or switch transport"
-                )
+        from .service import CampaignService
+
+        CampaignService.check_fleet(
+            port=self.port,
+            workers=self.workers,
+            max_workers=self.max_workers,
+            lease_timeout=self.lease_timeout,
+            poll_interval=self.poll_interval,
+        )
         if self.auth_token is not None and not self.auth_token:
             raise ValueError("auth_token must be a non-empty string")
-        if self.max_workers is not None:
-            if self.max_workers < 1:
-                raise ValueError("max_workers must be at least 1")
-            if self.max_workers < self.workers:
-                raise ValueError("max_workers must be >= workers")
-            # Autoscaling sizes a fleet the coordinator can *count* — its
-            # own spawns.  With an attachment point for external workers
-            # the arithmetic breaks: retire credits derived from the local
-            # surplus would be consumed by (and permanently dismiss)
-            # external workers the coordinator cannot respawn.
-            if self.queue_dir is not None:
-                raise ValueError(
-                    "autoscaling (max_workers) manages coordinator-spawned "
-                    "workers and cannot be combined with an external-fleet "
-                    "queue_dir (retire credits would dismiss external "
-                    "workers)"
-                )
-            if self.port != 0:
-                raise ValueError(
-                    "autoscaling (max_workers) manages coordinator-spawned "
-                    "workers and cannot be combined with a fixed port "
-                    "(externally attached workers would consume its retire "
-                    "credits)"
-                )
-        elif self.workers == 0:
-            # Nothing would ever execute: no initial fleet, no autoscaler.
-            if self.transport == "file" and self.queue_dir is None:
-                raise ValueError(
-                    "workers=0 requires an explicit queue_dir for external "
-                    "workers to attach to (or max_workers for autoscaling)"
-                )
-            if self.transport in self._NETWORK_TRANSPORTS and self.port == 0:
-                raise ValueError(
-                    f"workers=0 on the {self.transport} transport requires "
-                    "a fixed port for external workers to connect to (or "
-                    "max_workers for autoscaling)"
-                )
-        if self.lease_timeout <= 0:
-            raise ValueError("lease_timeout must be positive")
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
+        if self.workers == 0 and self.max_workers is None and self.port == 0:
+            raise ValueError(
+                "workers=0 needs a fixed port for external workers to "
+                "connect to (or max_workers for autoscaling)"
+            )
 
     def map(
         self,
@@ -447,322 +329,47 @@ class DistributedBackend:
         items: Sequence[Any],
         on_complete: CompletionCallback | None = None,
     ) -> Iterator[Any]:
+        from .service import CampaignService, RunCancelled, RunFailed
+
         items = list(items)
         if not items:
             return
         del self.scale_events[:]  # events describe the current map call only
         self.queue_stats.clear()
-        # A per-run id namespaces this campaign's tasks and results: a
-        # worker of a previous killed run finishing late (on a reused
-        # directory or port) answers under the old id and is ignored by
-        # collect().
-        run_id = f"r{uuid.uuid4().hex[:12]}"
-        if self.transport in self._NETWORK_TRANSPORTS:
-            yield from self._map_network(fn, items, on_complete, run_id)
-        else:
-            yield from self._map_file(fn, items, on_complete, run_id)
-
-    def _map_file(
-        self,
-        fn: Callable[[Any], Any],
-        items: list[Any],
-        on_complete: CompletionCallback | None,
-        run_id: str,
-    ) -> Iterator[Any]:
-        if resolve_auth_token(self.auth_token) is not None:
-            # An explicit token was already rejected in __post_init__, so
-            # this is the environment variable.  A globally exported secret
-            # must not hard-fail unrelated file campaigns, but the operator
-            # still deserves to know it protects nothing here.
-            warnings.warn(
-                "REPRO_CAMPAIGN_AUTH_TOKEN is set, but the file transport "
-                "has no authentication — the campaign runs unauthenticated "
-                "(use transport=\"socket\" or \"http\" for auth)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        owns_dir = self.queue_dir is None
-        root = (
-            Path(tempfile.mkdtemp(prefix="repro-campaign-queue-"))
-            if owns_dir
-            else Path(self.queue_dir)
-        )
-        queue = FileWorkQueue(root, run_id=run_id)
-        worker_args = [str(root)]
-        processes: list[subprocess.Popen] = []
-        try:
-            # A queue directory hosts one campaign at a time: purge stale
-            # tasks/results/stop from a previous run of an explicit
-            # queue_dir before enqueueing, or old result files would be
-            # collected as this campaign's outcomes.
-            queue.reset()
-            for index, item in enumerate(items):
-                queue.enqueue(index, (fn, item))
-            processes = [
-                self._spawn_worker(worker_args) for _ in range(self.workers)
-            ]
-            yield from self._drain(
-                queue, len(items), processes, on_complete, worker_args
-            )
-        finally:
-            queue.request_stop()
-            self._reap(processes)
-            self.queue_stats.update(queue.stats_snapshot())
-            if owns_dir:
-                shutil.rmtree(root, ignore_errors=True)
-
-    def _map_network(
-        self,
-        fn: Callable[[Any], Any],
-        items: list[Any],
-        on_complete: CompletionCallback | None,
-        run_id: str,
-    ) -> Iterator[Any]:
         token = resolve_auth_token(self.auth_token)
-        if self.transport == "http":
-            from .transport_http import HttpWorkQueue as queue_class
-        else:
-            from .transport import SocketWorkQueue as queue_class
-
-        queue = queue_class(
-            self.host, self.port, run_id=run_id, auth_token=token
-        )
-        # Workers must *connect* to the address the server *bound*; a
-        # wildcard bind is reachable locally via loopback.
-        if self.transport == "http":
-            worker_args = ["--connect-http", queue.url]
-        else:
-            bound_host, bound_port = queue.address
-            connect_host = (
-                "127.0.0.1" if bound_host in ("", "0.0.0.0", "::") else bound_host
-            )
-            worker_args = ["--connect", f"{connect_host}:{bound_port}"]
-        processes: list[subprocess.Popen] = []
-        try:
-            for index, item in enumerate(items):
-                queue.enqueue(index, (fn, item))
-            processes = [
-                self._spawn_worker(worker_args) for _ in range(self.workers)
-            ]
-            yield from self._drain(
-                queue, len(items), processes, on_complete, worker_args
-            )
-        finally:
-            queue.request_stop()
-            # Reap *before* closing the server: spawned workers poll the
-            # stop sentinel over the wire and exit cleanly while it still
-            # answers.
-            self._reap(processes)
-            self.queue_stats.update(queue.stats_snapshot())
-            if self.port != 0:
-                # A fixed port means an external fleet may be attached, and
-                # the server is the only place it can observe the stop
-                # sentinel (unlike a stop *file*, which persists).  Linger
-                # so idle workers poll it and exit now, not via the much
-                # longer orphan timeout.  External workers choose their own
-                # --poll, so the window is generous; one polling slower
-                # than ~2 s still has the orphan timeout as backstop.
-                time.sleep(max(2.0, 4 * self.poll_interval))
-            queue.close()
-
-    # ------------------------------------------------------------------ internal --
-
-    def _spawn_worker(self, worker_args: list[str]) -> subprocess.Popen:
-        token = None
-        if self.transport in self._NETWORK_TRANSPORTS:
-            token = resolve_auth_token(self.auth_token)
-        return spawn_worker(
-            worker_args,
-            transport=self.transport,
-            auth_token=token,
+        service = CampaignService(
+            host=self.host,
+            port=self.port,
+            workers=self.workers,
+            max_workers=self.max_workers,
+            auth_tokens=None if token is None else (token,),
             lease_timeout=self.lease_timeout,
             poll_interval=self.poll_interval,
         )
-
-    def _record_scale(
-        self, event: str, workers: int, backlog: int, elapsed: float
-    ) -> None:
-        entry = {
-            "event": event,
-            "workers": workers,
-            "backlog": backlog,
-            "elapsed": round(elapsed, 3),
-        }
-        self.scale_events.append(entry)
-        default_registry().gauge(
-            "repro_workers_alive",
-            "Live coordinator-spawned workers after the last scale event.",
-        ).set(workers)
-        emit(event, "campaign.backends",
-             workers=workers, backlog=backlog, elapsed=entry["elapsed"])
-        logger.info(
-            "distributed autoscaler %s: %d worker(s), backlog %d (t=%.1fs)",
-            event, workers, backlog, elapsed,
-        )
-
-    def _autoscale(
-        self,
-        queue: WorkQueue,
-        processes: list[subprocess.Popen],
-        outstanding: int,
-        worker_args: list[str],
-        elapsed: float,
-        alive_now: int,
-        alive_reported: int | None,
-    ) -> int:
-        """One autoscaler tick; returns the live worker count after it.
-
-        Scale up: while tasks are pending and the fleet is below
-        ``max_workers``, spawn one worker per pending task.  Scale down:
-        grant exactly as many retire credits as there are workers beyond
-        the number of not-yet-finished items — only *idle* workers consume
-        a credit, so a worker mid-flight is never dismissed.  A shrink
-        (retired *or* crashed workers) is recorded against the count the
-        previous tick reported.
-        """
-        alive = alive_now
-        backlog = queue.pending_count()
-        ceiling = self.max_workers or 0
-        if backlog > 0 and alive < ceiling:
-            for _ in range(min(backlog, ceiling - alive)):
-                processes.append(self._spawn_worker(worker_args))
-                alive += 1
-            self._record_scale("scale-up", alive, backlog, elapsed)
-        if alive_reported is not None and alive < alive_reported:
-            self._record_scale("scale-down", alive, backlog, elapsed)
-        queue.set_retire_credits(max(0, alive - outstanding))
-        return alive
-
-    def _drain(
-        self,
-        queue: WorkQueue,
-        total: int,
-        processes: list[subprocess.Popen],
-        on_complete: CompletionCallback | None,
-        worker_args: list[str],
-    ) -> Iterator[Any]:
-        seen: set[int] = set()
-        ready: dict[int, Any] = {}
-        next_index = 0
-        start = time.monotonic()
-        # Everything is enqueued before the first drain tick, so the depth
-        # here is the true high-water mark; housekeeping re-samples anyway
-        # in case an external fleet re-queues work.
-        self.queue_stats["pending_peak"] = queue.pending_count()
-        # Housekeeping (coordinator heartbeat, lease-expiry scan) has
-        # lease-timeout granularity; doing it every poll tick would hammer
-        # a network filesystem with metadata traffic for nothing.  Only
-        # result collection runs at the fast poll.  The autoscaler runs on
-        # its own, faster cadence — it is a handful of cheap probes and
-        # scale-up latency is user-visible.
-        housekeeping_period = self.lease_timeout / 4.0
-        autoscale_period = max(self.poll_interval, min(housekeeping_period, 0.5))
-        last_housekeeping = float("-inf")
-        last_autoscale = float("-inf")
-        alive: int | None = None
-        # Crash-loop guard for the autoscaler: respawn waves that start from
-        # an all-dead fleet must make progress, or we are re-spawning
-        # workers into the same fatal condition forever.
-        dead_waves = 0
-        seen_at_last_wave = -1
-        while next_index < total:
-            now = time.monotonic()
-            if now - last_housekeeping >= housekeeping_period:
-                last_housekeeping = now
-                # Heartbeat for the workers' orphan detection: a coordinator
-                # killed without cleanup stops touching this, and idle
-                # workers exit on their own instead of polling forever.
-                queue.touch_coordinator()
-                queue.reclaim_expired(self.lease_timeout)
-                self.queue_stats["pending_peak"] = max(
-                    self.queue_stats["pending_peak"], queue.pending_count()
-                )
-            if self.max_workers is not None and now - last_autoscale >= autoscale_period:
-                last_autoscale = now
-                # Aliveness is sampled *before* the tick: a wave is "the
-                # fleet was entirely dead and we spawned into that", which
-                # must be visible in the same tick the death is noticed.
-                alive_now = sum(
-                    1 for proc in processes if proc.poll() is None
-                )
-                new_alive = self._autoscale(
-                    queue, processes, total - len(seen), worker_args,
-                    now - start, alive_now, alive,
-                )
-                was_dead = alive_now == 0
-                alive = new_alive
-                if was_dead and alive > 0:
-                    if len(seen) == seen_at_last_wave:
-                        dead_waves += 1
-                    else:
-                        dead_waves = 1
-                        seen_at_last_wave = len(seen)
-                    if dead_waves > 3:
-                        emit(
-                            "crash-loop", "campaign.backends",
-                            waves=dead_waves,
-                            outstanding=total - len(seen),
-                            total=total,
-                        )
-                        raise RuntimeError(
-                            "distributed autoscaler respawned an all-dead "
-                            f"fleet {dead_waves} times without progress "
-                            f"({total - len(seen)} of {total} items "
-                            "outstanding)"
-                        )
-            fresh = queue.collect(seen)
-            for index in sorted(fresh):
-                status, value = fresh[index]
-                seen.add(index)
-                if status != "ok":
-                    raise RuntimeError(
-                        f"distributed worker failed on item {index}:\n{value}"
-                    )
-                ready[index] = value
-                if on_complete is not None:
-                    on_complete(index, value)
-            while next_index in ready:
-                yield ready.pop(next_index)
-                next_index += 1
-            if next_index >= total:
-                return
-            if (
-                self.max_workers is None
-                and processes
-                and all(proc.poll() is not None for proc in processes)
-            ):
-                # Every worker this coordinator spawned is gone.  External
-                # workers could still drain the queue, but with spawned
-                # workers dead the far likelier outcome is a hang — fail
-                # loudly and let the runner fall back to serial.  (With
-                # autoscaling the fleet is respawned instead, guarded by
-                # the crash-loop counter above.)
-                raise RuntimeError(
-                    f"all {len(processes)} distributed workers exited with "
-                    f"{total - len(seen)} of {total} items outstanding"
-                )
-            time.sleep(self.poll_interval)
-
-    def _reap(self, processes: list[subprocess.Popen]) -> None:
-        deadline = time.time() + max(1.0, 4 * self.poll_interval)
-        for proc in processes:
-            try:
-                proc.wait(timeout=max(0.0, deadline - time.time()))
-            except subprocess.TimeoutExpired:
-                proc.terminate()
-                try:
-                    proc.wait(timeout=2.0)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait()
+        try:
+            yield from service.host_run(label=self.name).map(
+                fn, items, on_complete
+            )
+        except (RunCancelled, RunFailed) as exc:
+            # The runner falls back to serial on an Exception; the service
+            # signals run ends as BaseExceptions so its own hosted runs
+            # unwind instead.
+            raise RuntimeError(f"distributed run ended: {exc}") from None
+        finally:
+            service.close()
+            self.scale_events.extend(service.scale_events)
+            self.queue_stats.update(
+                service.queue.stats_snapshot(),
+                pending_peak=service.queue.pending_peak,
+            )
 
 
 @dataclass(frozen=True)
 class ServiceBackend:
     """Client-mode executor: rent a remote campaign service's worker fleet.
 
-    Where :class:`DistributedBackend` *owns* a coordinator (starts a queue
-    server, spawns workers, tears both down), this backend owns nothing: it
+    Where :class:`DistributedBackend` *owns* a coordinator (starts a
+    service, spawns workers, tears both down), this backend owns nothing: it
     submits the campaign's tasks to a persistent
     :class:`~repro.campaign.service.CampaignService` daemon as one hosted
     *run* (``POST /runs`` with pickled task payloads), polls that run's
@@ -775,7 +382,7 @@ class ServiceBackend:
     The task function must be importable on the daemon's workers (the usual
     work-queue constraint), and the daemon must speak the same protocol
     version — a mismatch fails fast at submit time with a clear message,
-    as does a daemon that is actually a plain single-campaign coordinator.
+    as does an endpoint that is not a campaign service.
 
     Attributes
     ----------
@@ -832,47 +439,31 @@ class ServiceBackend:
             label=self.label or "service-backend",
         )
         try:
-            yield from self._drain(client, run_id, len(items), on_complete)
+            yield from ordered(
+                self._completions(client, run_id, len(items)),
+                len(items), on_complete,
+            )
         finally:
             # Free the daemon-side queue state whether we finished, failed
             # over to serial, or were interrupted; the registry record
             # survives for post-mortem status queries.
             client.cancel(run_id, missing_ok=True)
 
-    def _drain(
-        self,
-        client: Any,
-        run_id: str,
-        total: int,
-        on_complete: CompletionCallback | None,
-    ) -> Iterator[Any]:
+    def _completions(
+        self, client: Any, run_id: str, total: int
+    ) -> Iterator[tuple[int, Any]]:
+        """Poll the run's results; yield each new one as it arrives."""
         seen: set[int] = set()
-        ready: dict[int, Any] = {}
-        next_index = 0
-        while next_index < total:
+        while True:
             state, results = client.task_results(run_id)
             if state in ("cancelled", "failed"):
                 raise RuntimeError(
                     f"service run {run_id} ended as {state} with "
                     f"{total - len(seen)} of {total} items outstanding"
                 )
-            for index in sorted(results):
-                if index in seen:
-                    continue
-                status, value = results[index]
+            for index in sorted(set(results) - seen):
                 seen.add(index)
-                if status != "ok":
-                    raise RuntimeError(
-                        f"service worker failed on item {index}:\n{value}"
-                    )
-                ready[index] = value
-                if on_complete is not None:
-                    on_complete(index, value)
-            while next_index in ready:
-                yield ready.pop(next_index)
-                next_index += 1
-            if next_index >= total:
-                return
+                yield index, unwrap("service", index, results[index])
             time.sleep(self.poll_interval)
 
 

@@ -34,8 +34,7 @@ import urllib.parse
 import urllib.request
 from typing import Any, Mapping, Sequence
 
-from .transport import _decode, _encode
-from .transport_http import parse_http_url
+from .transport import _decode, _encode, parse_http_url
 from .workqueue import (
     PROTOCOL_VERSION,
     WorkQueueAuthError,
@@ -84,9 +83,10 @@ class ServiceClient:
         return self._request("GET", "/ping")
 
     def check_service(self) -> dict[str, Any]:
-        """Fail fast unless the endpoint is a *service-mode* daemon speaking
-        this client's protocol version (plain single-campaign coordinators
-        answer ``/ping`` too, but have no ``/runs`` API)."""
+        """Fail fast unless the endpoint is a campaign service speaking this
+        client's protocol version (older single-campaign coordinators
+        answer ``/ping`` with ``"service": false`` and have no ``/runs``
+        API)."""
         info = self.ping()
         version = info.get("protocol")
         if version != PROTOCOL_VERSION:

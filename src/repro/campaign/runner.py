@@ -10,8 +10,8 @@ or on a process pool, and independent of completion order.
 Three orthogonal concerns are layered here:
 
 * **Backends** — *how* variants are mapped to outcomes is delegated to an
-  :class:`~repro.campaign.backends.ExecutorBackend` (serial, process pool, or
-  the distributed file-queue substrate).  ``mode``/``max_workers`` remain as
+  :class:`~repro.campaign.backends.ExecutorBackend` (serial, batch, process
+  pool, or a campaign service's worker fleet).  ``mode``/``max_workers`` remain as
   the convenient policy knobs that pick between the built-in backends.
 * **Caching** — with a :class:`~repro.store.CampaignStore` attached, every
   variant's content hash is looked up first and only misses are dispatched;

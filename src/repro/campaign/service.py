@@ -1,23 +1,19 @@
-"""Persistent multi-tenant campaign service: ``python -m repro.campaign.service``.
+"""Campaign service: ``python -m repro.campaign.service``.
 
-Every earlier execution substrate dies with its campaign: the distributed
-coordinator (:class:`~repro.campaign.backends.DistributedBackend`) starts a
-queue server, runs one campaign, and tears everything down.  This module
-promotes that coordinator to a **long-lived daemon**: one
-:class:`~repro.campaign.transport_http.HttpWorkQueue` (in ``service`` mode)
-hosts a registry of concurrent *runs* over the run-id-namespaced queue
-state, one attached worker fleet serves whichever runs have pending tasks,
-and "users" are HTTP clients that *submit* work instead of owning
-coordinator processes::
+The one coordinator of the distribution plane.  One
+:class:`~repro.campaign.transport.HttpWorkQueue` hosts a registry of
+concurrent *runs* over run-id-namespaced queue state, one worker fleet
+serves whichever runs have pending tasks, and "users" are HTTP clients that
+*submit* work instead of owning coordinator processes::
 
     POST   <base>/runs              submit a run -> {"ok": true, "run": id}
     GET    <base>/runs              registry listing
     GET    <base>/runs/<id>/status  one run's lifecycle + queue state
     GET    <base>/runs/<id>/results one run's results
-    DELETE <base>/runs/<id>         cancel the run, drop its queue state
+    DELETE <base>/runs/<id>         cancel the run, free its queue state
     POST   <base>/rotate-token      install a new auth secret (old one kept)
 
-Two kinds of run share the registry:
+Three kinds of run share the registry:
 
 * **Spec runs** — ``POST /runs`` with ``{"spec": {...}}``, a JSON campaign
   spec in the exact dialect of the spec *files* (:mod:`repro.campaign.spec`).
@@ -31,11 +27,18 @@ Two kinds of run share the registry:
   :class:`~repro.campaign.backends.ServiceBackend` (``--backend service
   --connect-http URL``): a *client-side* :class:`CampaignRunner` keeps its
   own store/policy and only rents the daemon's fleet for execution.
+* **Campaign runs** — hosted in-process by :meth:`CampaignService.host_run`
+  through the same backend spec runs use, with no HTTP round trip: every
+  :class:`~repro.campaign.backends.DistributedBackend` campaign is one.
 
-Lifecycle separation is the point of the refactor underneath
-(:class:`~repro.campaign.transport.NetworkWorkQueue`): cancelling or
-draining one run never raises the transport stop sentinel, so the fleet
-keeps serving sibling runs; only daemon shutdown stops workers.
+The fleet is the service's too.  The housekeeping thread re-issues expired
+leases, reaps exited workers, autoscales the local fleet (``max_workers``:
+spawn on backlog, retire idle workers through retire credits), stops
+respawning a fleet that keeps dying without progress, and fails every
+running run once all spawned workers are dead with work outstanding — so a
+dead fleet ends runs loudly instead of leaving their tenants polling.
+Cancelling or draining one run never raises the transport stop sentinel;
+only daemon shutdown sends the fleet home.
 
 The trust model is the work queue's: task payloads and results are pickled,
 so expose the port only to clients you would also hand a pickle file to,
@@ -48,7 +51,9 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -56,13 +61,24 @@ import uuid
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from ..obs import EventLog, configure_json_logging, emit, set_event_log
-from .transport_http import HttpWorkQueue
-from .workqueue import resolve_auth_tokens, validate_run_id
+from ..obs import (
+    EventLog,
+    configure_json_logging,
+    default_registry,
+    emit,
+    set_event_log,
+)
+from .backends import ordered, unwrap
+from .transport import HttpWorkQueue, _decode, _encode
+from .workqueue import AUTH_TOKEN_ENV, resolve_auth_tokens, validate_run_id
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["CampaignService", "RunCancelled", "main"]
+__all__ = ["CampaignService", "RunCancelled", "RunFailed", "main"]
+
+#: Respawn waves into an all-dead fleet without a single completion in
+#: between before the autoscaler gives up (the crash-loop guard).
+_MAX_DEAD_WAVES = 3
 
 
 class RunCancelled(BaseException):
@@ -76,8 +92,15 @@ class RunCancelled(BaseException):
     """
 
 
+class RunFailed(BaseException):
+    """The service failed a hosted run (its fleet died with work
+    outstanding).  Not an :class:`Exception` for the same reason as
+    :class:`RunCancelled`: a spec run inside the daemon must end as
+    ``failed``, not be flown serially on the daemon thread."""
+
+
 class _HostedRun:
-    """Registry record of one submitted run (spec- or task-kind)."""
+    """Registry record of one run (spec-, task- or campaign-kind)."""
 
     __slots__ = (
         "run_id", "kind", "label", "state", "submitted", "finished",
@@ -111,24 +134,26 @@ class _HostedRun:
 
 
 class _HostedQueueBackend:
-    """Executor backend of a daemon-hosted spec run.
+    """Executor backend of a run hosted in the service's own process.
 
-    Looks like :class:`~repro.campaign.backends.DistributedBackend` to the
-    runner, but owns nothing: tasks go into the *shared* service queue under
-    this run's id, the attached fleet (shared with every other run) executes
-    them, and the drain loop only watches this run's results.  Cancellation
-    (``DELETE /runs/<id>``) raises :class:`RunCancelled` out of ``map`` so
-    the runner unwinds instead of falling back to serial.
+    Tasks go into the *shared* queue under this run's id, the fleet (shared
+    with every other run) executes them, and ``map`` reads this run's
+    results straight from the queue.  ``map`` may be called many times on
+    one run (an adaptive search flies wave after wave); every call numbers
+    its tasks after the previous call's, so a late result of an earlier
+    call can never pose as one of this call's.  A cancelled run raises
+    :class:`RunCancelled` out of ``map`` and a failed one
+    :class:`RunFailed`, so the runner unwinds instead of falling back to
+    serial.
     """
 
     name = "service-hosted"
 
-    def __init__(
-        self, queue: HttpWorkQueue, run_id: str, poll_interval: float
-    ) -> None:
-        self._queue = queue
-        self._run_id = run_id
-        self._poll_interval = poll_interval
+    def __init__(self, service: "CampaignService", record: _HostedRun) -> None:
+        self._service = service
+        self._record = record
+        self._next_index = 0
+        self._seen: set[int] = set()
 
     def map(
         self,
@@ -139,41 +164,58 @@ class _HostedQueueBackend:
         items = list(items)
         if not items:
             return
-        for index, item in enumerate(items):
-            self._queue.enqueue_in(self._run_id, index, (fn, item))
-        seen: set[int] = set()
-        ready: dict[int, Any] = {}
-        next_index = 0
-        while next_index < len(items):
-            if self._queue.run_cancelled(self._run_id):
-                raise RunCancelled(self._run_id)
-            fresh = self._queue.collect_run(self._run_id, seen)
+        base = self._next_index
+        self._next_index += len(items)
+        try:
+            for offset, item in enumerate(items):
+                self._service.queue.enqueue_in(
+                    self._record.run_id, base + offset, (fn, item)
+                )
+        except (KeyError, ValueError):
+            self._check_running()  # cancelled or failed meanwhile
+            raise
+        self._service._wake.set()  # let the autoscaler see the backlog now
+        yield from ordered(self._completions(base), len(items), on_complete)
+
+    def _check_running(self) -> None:
+        state = self._record.state
+        if state == "cancelled":
+            raise RunCancelled(self._record.run_id)
+        if state == "failed":
+            raise RunFailed(self._record.error)
+
+    def _completions(self, base: int) -> Iterator[tuple[int, Any]]:
+        """Poll this run's results; yield ``(index - base, value)`` pairs."""
+        while True:
+            self._check_running()
+            fresh = self._service.queue.collect_run(
+                self._record.run_id, self._seen
+            )
             for index in sorted(fresh):
-                status, value = fresh[index]
-                seen.add(index)
-                if status != "ok":
-                    raise RuntimeError(
-                        f"worker failed on item {index}:\n{value}"
+                self._seen.add(index)
+                if index >= base:
+                    yield index - base, unwrap(
+                        self._record.label or "service", index - base,
+                        fresh[index],
                     )
-                ready[index] = value
-                if on_complete is not None:
-                    on_complete(index, value)
-            while next_index in ready:
-                yield ready.pop(next_index)
-                next_index += 1
-            if next_index >= len(items):
-                return
-            time.sleep(self._poll_interval)
+            time.sleep(self._service.poll_interval)
 
 
 class CampaignService:
-    """The daemon: one shared queue server, a run registry, a worker fleet.
+    """The coordinator: one shared queue server, a run registry, a fleet.
 
     Constructing the service binds and starts the HTTP server (``port=0``
-    picks an ephemeral port, published via :attr:`url`), spawns ``workers``
-    local worker processes attached over HTTP, and starts the housekeeping
-    thread (lease reclaim + task-run completion).  Use as a context manager
-    or call :meth:`close`.
+    picks an ephemeral port, published via :attr:`url`) and the
+    housekeeping thread, which spawns ``workers`` local worker processes
+    attached over HTTP on its first tick and then runs lease re-issue,
+    task-run completion and fleet management.  Use as a context manager or
+    call :meth:`close`.
+
+    With ``max_workers`` set, the service autoscales its local fleet: while
+    tasks are pending it spawns workers up to ``max_workers``, and once the
+    backlog is covered it grants *retire credits* — one credit dismisses
+    exactly one idle worker.  Scale decisions are appended to
+    :attr:`scale_events`.
     """
 
     def __init__(
@@ -185,16 +227,16 @@ class CampaignService:
         auth_tokens: Sequence[str] | None = None,
         lease_timeout: float = 30.0,
         poll_interval: float = 0.05,
+        max_workers: int | None = None,
     ) -> None:
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
-        if lease_timeout <= 0 or poll_interval <= 0:
-            raise ValueError("lease_timeout and poll_interval must be positive")
+        self.check_fleet(
+            port=port, workers=workers, max_workers=max_workers,
+            lease_timeout=lease_timeout, poll_interval=poll_interval,
+        )
         self.lease_timeout = lease_timeout
         self.poll_interval = poll_interval
-        self.queue = HttpWorkQueue(
-            host, port, auth_token=auth_tokens, mode="service"
-        )
+        self.max_workers = max_workers
+        self.queue = HttpWorkQueue(host, port, auth_token=auth_tokens)
         self._store = None
         if store_dir is not None:
             from ..store import CampaignStore
@@ -203,13 +245,60 @@ class CampaignService:
         self._lock = threading.Lock()
         self._runs: dict[str, _HostedRun] = {}
         self._closing = threading.Event()
+        self._wake = threading.Event()
+        self._fixed_port = port != 0
+        self._started = time.monotonic()
+        #: Autoscaler decisions, in order: dicts with ``event``
+        #: ("scale-up" / "scale-down"), ``workers`` (alive after),
+        #: ``backlog`` and ``elapsed`` [s] since the service started.
+        self.scale_events: list[dict[str, Any]] = []
+        self._spawned = 0
+        self._alive_reported: int | None = None
+        # Crash-loop guard: respawn waves that start from an all-dead fleet
+        # must make progress, or we are re-spawning workers into the same
+        # fatal condition forever.
+        self._dead_waves = 0
+        self._completions_at_wave = -1
         # Route /runs requests on the queue's HTTP server to this service.
         self.queue._server.service = self
-        self._processes = [self._spawn_worker() for _ in range(workers)]
+        self._processes: list[subprocess.Popen] = []
         self._housekeeper = threading.Thread(
-            target=self._housekeeping, name="service-housekeeping", daemon=True
+            target=self._housekeeping, args=(workers,),
+            name="service-housekeeping", daemon=True,
         )
         self._housekeeper.start()
+
+    @staticmethod
+    def check_fleet(
+        port: int,
+        workers: int,
+        max_workers: int | None,
+        lease_timeout: float,
+        poll_interval: float,
+    ) -> None:
+        """Reject fleet options that could never work (ValueError)."""
+        if workers < 0:
+            raise ValueError("workers must be >= 0")
+        if lease_timeout <= 0:
+            raise ValueError("lease_timeout must be positive")
+        if poll_interval <= 0:
+            raise ValueError("poll_interval must be positive")
+        if max_workers is not None:
+            if max_workers < 1:
+                raise ValueError("max_workers must be at least 1")
+            if max_workers < workers:
+                raise ValueError("max_workers must be >= workers")
+            # Autoscaling sizes a fleet the service can *count* — its own
+            # spawns.  Workers attached from outside on a fixed port would
+            # consume (and be permanently dismissed by) retire credits
+            # derived from the local surplus.
+            if port != 0:
+                raise ValueError(
+                    "autoscaling (max_workers) manages service-spawned "
+                    "workers and cannot be combined with a fixed port "
+                    "(externally attached workers would consume its retire "
+                    "credits)"
+                )
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -225,9 +314,19 @@ class CampaignService:
         """Shut the daemon down: raise the transport stop sentinel (the one
         event that sends the fleet home), reap workers, stop serving."""
         self._closing.set()
+        self._wake.set()
+        # The housekeeper stops first, so no worker is spawned mid-reap.
+        self._housekeeper.join(timeout=5.0)
         self.queue.request_stop()
         self._reap()
-        self._housekeeper.join(timeout=5.0)
+        if self._fixed_port:
+            # A fixed port means an external fleet may be attached, and the
+            # server is the only place it can observe the stop sentinel.
+            # Linger so idle workers poll it and exit now, not via the much
+            # longer orphan timeout.  External workers choose their own
+            # --poll, so the window is generous; one polling slower than
+            # ~2 s still has the orphan timeout as backstop.
+            time.sleep(max(2.0, 4 * self.poll_interval))
         self.queue.close()
 
     def __enter__(self) -> "CampaignService":
@@ -240,6 +339,16 @@ class CampaignService:
         """Block until :meth:`close` is called (signal handlers call it)."""
         while not self._closing.wait(0.5):
             pass
+
+    def host_run(self, label: str = "") -> _HostedQueueBackend:
+        """Host one in-process run; the returned backend drives it.
+
+        The backend is the one spec runs use: tasks go straight into the
+        shared queue and results come straight out of it, with no HTTP
+        round trip to this process.  The run ends with the service.
+        """
+        record = self._open_run(f"r{uuid.uuid4().hex[:12]}", "campaign", label, 0)
+        return _HostedQueueBackend(self, record)
 
     # -- service API (called from HTTP handler threads) --------------------------
 
@@ -307,8 +416,6 @@ class CampaignService:
                 entry["error"] = record.error
             result_json = record.result_json
         if record.kind == "tasks":
-            from .transport import _encode
-
             results = self.queue.collect_run(run_id)
             entry["done"] = len(results)
             entry["results"] = {
@@ -323,7 +430,8 @@ class CampaignService:
         return 200, entry
 
     def cancel(self, run_id: str) -> tuple[int, dict[str, Any]]:
-        """``DELETE /runs/<id>``: cancel if running, drop queue state.
+        """``DELETE /runs/<id>``: cancel if running and free the run's
+        queue state — pending tasks, leases and results.
 
         The registry record stays (state ``cancelled``/its final state) so
         late status queries explain what happened instead of 404ing.
@@ -336,7 +444,7 @@ class CampaignService:
             if was_running:
                 record.state = "cancelled"
                 record.finished = time.time()
-        self.queue.cancel_run(run_id)
+        self.queue.remove_run(run_id)
         emit("run-cancel", "campaign.service", run=run_id)
         return 200, {"ok": True, "run": run_id, "cancelled": was_running}
 
@@ -363,13 +471,23 @@ class CampaignService:
         emit("token-rotate", "campaign.service")
         return 200, {"ok": True}
 
-    # -- internal ----------------------------------------------------------------
+    # -- runs --------------------------------------------------------------------
+
+    def _open_run(
+        self, run_id: str, kind: str, label: str, total: int
+    ) -> _HostedRun:
+        """Register a run and its queue state (ValueError if it exists)."""
+        record = _HostedRun(run_id, kind, label, total)
+        with self._lock:
+            if run_id in self._runs:
+                raise ValueError(f"run {run_id!r} already exists")
+            self.queue.add_run(run_id)
+            self._runs[run_id] = record
+        return record
 
     def _submit_tasks(
         self, run_id: str, tasks: Any, label: str
     ) -> tuple[int, dict[str, Any]]:
-        from .transport import _decode
-
         if not isinstance(tasks, list) or not tasks:
             return 400, {"ok": False,
                          "error": "'tasks' must be a non-empty list"}
@@ -378,18 +496,13 @@ class CampaignService:
         except Exception as exc:
             return 400, {"ok": False,
                          "error": f"undecodable task payload: {exc!r}"}
-        record = _HostedRun(run_id, "tasks", label, len(payloads))
         try:
-            with self._lock:
-                if run_id in self._runs:
-                    return 409, {"ok": False,
-                                 "error": f"run {run_id!r} already exists"}
-                self.queue.add_run(run_id)
-                self._runs[run_id] = record
+            self._open_run(run_id, "tasks", label, len(payloads))
         except ValueError as exc:
             return 409, {"ok": False, "error": str(exc)}
         for index, payload in enumerate(payloads):
             self.queue.enqueue_in(run_id, index, payload)
+        self._wake.set()
         emit("run-submit", "campaign.service",
              run=run_id, kind="tasks", total=len(payloads))
         logger.info("run %s submitted: %d task(s)", run_id, len(payloads))
@@ -415,27 +528,21 @@ class CampaignService:
             total = len(work) if "axes" in spec else 0
         except (ValueError, KeyError, TypeError) as exc:
             return 400, {"ok": False, "error": str(exc)}
+        try:
+            record = self._open_run(run_id, "spec", label, total)
+        except ValueError as exc:
+            return 409, {"ok": False, "error": str(exc)}
         # The daemon's fleet is the execution substrate for hosted runs:
         # the spec's backend/mode/max_workers describe a substrate the
         # submitting client does not own here, so they are ignored.  Store
         # policy is the daemon's too (shared cells across tenants).
         runner = CampaignRunner(
-            backend=_HostedQueueBackend(self.queue, run_id, self.poll_interval),
+            backend=_HostedQueueBackend(self, record),
             store=self._store,
             record_arrays=bool(section.get("record_arrays"))
             and self._store is not None,
             telemetry=bool(section.get("telemetry", True)),
         )
-        record = _HostedRun(run_id, "spec", label, total)
-        try:
-            with self._lock:
-                if run_id in self._runs:
-                    return 409, {"ok": False,
-                                 "error": f"run {run_id!r} already exists"}
-                self.queue.add_run(run_id)
-                self._runs[run_id] = record
-        except ValueError as exc:
-            return 409, {"ok": False, "error": str(exc)}
         record.thread = threading.Thread(
             target=self._run_spec,
             args=(record, runner, work, "adaptive" in spec),
@@ -458,11 +565,8 @@ class CampaignService:
             else:
                 result = runner.run(work)
             payload = json.loads(result.to_json())
-        except RunCancelled:
-            with self._lock:
-                record.state = "cancelled"
-                record.finished = time.time()
-            return
+        except (RunCancelled, RunFailed):
+            return  # cancel()/_fail_runs() already recorded the final state
         except Exception as exc:
             with self._lock:
                 record.state = "failed"
@@ -470,6 +574,10 @@ class CampaignService:
                 record.finished = time.time()
             logger.warning("run %s failed: %r", record.run_id, exc)
             return
+        finally:
+            # The report (if any) lives in the registry record; the queue
+            # state has nothing left to serve.
+            self.queue.remove_run(record.run_id)
         with self._lock:
             # A cancel that raced the final variants wins: the tenant asked
             # for the run to end, so it ends as cancelled.
@@ -480,25 +588,66 @@ class CampaignService:
         emit("run-done", "campaign.service", run=record.run_id)
         logger.info("run %s done", record.run_id)
 
-    def _spawn_worker(self) -> Any:
-        # The daemon's fleet attaches over its own HTTP endpoint — the same
-        # path an external fleet uses, so local and remote workers are
-        # indistinguishable to the queue.  spawn_worker handles PYTHONPATH
-        # and passes the token via the environment (never argv).
-        from .backends import spawn_worker
+    def _finish_task_run(self, record: _HostedRun) -> str:
+        """Mark a fully-collected task run done; returns the final state."""
+        with self._lock:
+            if record.state == "running":
+                record.state = "done"
+                record.finished = time.time()
+                emit("run-done", "campaign.service", run=record.run_id)
+            return record.state
 
-        token = self.queue._auth_tokens[0] if self.queue._auth_tokens else None
-        return spawn_worker(
-            ["--connect-http", self.queue.url],
-            transport="http",
-            auth_token=token,
-            lease_timeout=self.lease_timeout,
-            poll_interval=self.poll_interval,
+    def _fail_runs(self, reason: str) -> None:
+        """End every running run as ``failed``: pending tasks and leases are
+        dropped (already-collected results stay readable until the run is
+        deleted), and each run's driver raises instead of polling on."""
+        with self._lock:
+            failed = [r for r in self._runs.values() if r.state == "running"]
+            for record in failed:
+                record.state = "failed"
+                record.error = reason
+                record.finished = time.time()
+        for record in failed:
+            self.queue.cancel_run(record.run_id)
+            emit("run-fail", "campaign.service", run=record.run_id,
+                 reason=reason)
+        if failed:
+            logger.warning("failed %d run(s): %s", len(failed), reason)
+
+    # -- fleet -------------------------------------------------------------------
+
+    def _spawn_worker(self) -> subprocess.Popen:
+        """Spawn one ``python -m repro.campaign.worker`` attached over this
+        service's own HTTP endpoint — the path an external fleet uses, so
+        local and remote workers are indistinguishable to the queue.
+
+        Whatever is importable here is made importable in the worker (task
+        payloads reference functions by module path), and the shared secret
+        travels via the environment — never argv, which is world-readable
+        in process listings.
+        """
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(entry for entry in sys.path if entry)
+        tokens = self.queue._auth_tokens
+        if tokens:
+            env[AUTH_TOKEN_ENV] = tokens[0]
+        default_registry().counter(
+            "repro_worker_spawns_total",
+            "Worker processes spawned by the campaign service.",
+        ).inc()
+        emit("worker-spawn", "campaign.service")
+        self._spawned += 1
+        return subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.campaign.worker",
+                "--connect-http", self.queue.url,
+                "--lease-timeout", str(self.lease_timeout),
+                "--poll", str(self.poll_interval),
+            ],
+            env=env,
         )
 
     def _reap(self) -> None:
-        import subprocess
-
         deadline = time.time() + max(2.0, 8 * self.poll_interval)
         for proc in self._processes:
             try:
@@ -511,9 +660,96 @@ class CampaignService:
                     proc.kill()
                     proc.wait()
 
-    def _housekeeping(self) -> None:
-        period = self.lease_timeout / 4.0
-        while not self._closing.wait(min(period, 1.0)):
+    def _manage_fleet(self) -> None:
+        """One fleet tick: forget exited workers, then either fail the runs
+        of a dead fixed fleet or take one autoscaler step."""
+        self._processes = [p for p in self._processes if p.poll() is None]
+        alive_before = len(self._processes)
+        backlog, outstanding = self.queue.backlog()
+        if self.max_workers is None:
+            if self._spawned and not alive_before and outstanding:
+                # Every worker this service spawned is gone.  External
+                # workers could still drain the queue, but with spawned
+                # workers dead the far likelier outcome is a hang — fail
+                # loudly and let each run's driver fall back.
+                self._fail_runs(
+                    f"all {self._spawned} spawned workers exited with "
+                    f"{outstanding} task(s) outstanding"
+                )
+            return
+        # Scale up: while tasks are pending and the fleet is below the
+        # ceiling, spawn one worker per pending task.
+        alive = alive_before
+        elapsed = time.monotonic() - self._started
+        if backlog > 0 and alive < self.max_workers:
+            for _ in range(min(backlog, self.max_workers - alive)):
+                self._processes.append(self._spawn_worker())
+            alive = len(self._processes)
+            self._record_scale("scale-up", alive, backlog, elapsed)
+        # A shrink (retired *or* crashed workers) is recorded against the
+        # count the previous tick reported.
+        if self._alive_reported is not None and alive < self._alive_reported:
+            self._record_scale("scale-down", alive, backlog, elapsed)
+        self._alive_reported = alive
+        # Scale down: exactly as many retire credits as there are workers
+        # beyond the unfinished tasks — only *idle* workers consume one, so
+        # a worker mid-flight is never dismissed.
+        self.queue.set_retire_credits(max(0, alive - outstanding))
+        if alive_before or alive == 0:
+            return
+        # A wave was spawned into an all-dead fleet: it must make progress.
+        completions = self.queue.stats_snapshot()["completions"]
+        if completions == self._completions_at_wave:
+            self._dead_waves += 1
+        else:
+            self._dead_waves = 1
+            self._completions_at_wave = completions
+        if self._dead_waves > _MAX_DEAD_WAVES:
+            emit("crash-loop", "campaign.service",
+                 waves=self._dead_waves, outstanding=outstanding)
+            self._fail_runs(
+                "autoscaler respawned an all-dead fleet "
+                f"{self._dead_waves} times without progress "
+                f"({outstanding} task(s) outstanding)"
+            )
+            self._dead_waves = 0
+
+    def _record_scale(
+        self, event: str, workers: int, backlog: int, elapsed: float
+    ) -> None:
+        entry = {
+            "event": event,
+            "workers": workers,
+            "backlog": backlog,
+            "elapsed": round(elapsed, 3),
+        }
+        self.scale_events.append(entry)
+        default_registry().gauge(
+            "repro_workers_alive",
+            "Live service-spawned workers after the last scale event.",
+        ).set(workers)
+        emit(event, "campaign.service",
+             workers=workers, backlog=backlog, elapsed=entry["elapsed"])
+        logger.info(
+            "autoscaler %s: %d worker(s), backlog %d (t=%.1fs)",
+            event, workers, backlog, elapsed,
+        )
+
+    def _housekeeping(self, workers: int) -> None:
+        # Fleet decisions are a handful of cheap probes and scale-up latency
+        # is user-visible, so the tick is short; a submission wakes it early.
+        tick = max(self.poll_interval, min(self.lease_timeout / 4.0, 0.5))
+        while True:
+            self._wake.wait(tick)
+            self._wake.clear()
+            if self._closing.is_set():
+                return
+            if workers:
+                # The initial fleet is spawned here, on the first tick: a
+                # campaign hosted right after construction is enqueued
+                # before the first fork, and the fleet list has one writer.
+                self._processes = [self._spawn_worker() for _ in range(workers)]
+                workers = 0
             self.queue.reclaim_expired(self.lease_timeout)
             # Task runs have no driving thread; completion is observed here
             # (and on demand in run_results — this just keeps GET /runs
@@ -526,15 +762,7 @@ class CampaignService:
             for record in records:
                 if len(self.queue.collect_run(record.run_id)) >= record.total:
                     self._finish_task_run(record)
-
-    def _finish_task_run(self, record: _HostedRun) -> str:
-        """Mark a fully-collected task run done; returns the final state."""
-        with self._lock:
-            if record.state == "running":
-                record.state = "done"
-                record.finished = time.time()
-                emit("run-done", "campaign.service", run=record.run_id)
-            return record.state
+            self._manage_fleet()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -608,7 +836,7 @@ def main(argv: list[str] | None = None) -> int:
     host, port = service.address
     print(f"campaign service listening on http://{host}:{port} "
           f"(auth {'on' if tokens else 'off'}, "
-          f"{len(service._processes)} local worker(s))", flush=True)
+          f"{args.workers} local worker(s))", flush=True)
     for signum in (signal.SIGINT, signal.SIGTERM):
         signal.signal(signum, lambda *_: service._closing.set())
     try:

@@ -22,10 +22,9 @@ A spec file makes a campaign runnable without writing a script (see
 ``[runner]``
     Execution policy: ``mode``/``max_workers`` or an explicit ``backend``
     registry name plus ``backend_options`` — e.g. ``{workers = 2}``,
-    ``{transport = "socket"}``, ``{transport = "http", auth_token = "..."}``
-    or ``{workers = 0, max_workers = 4}``
-    (autoscaling) for the distributed backend, see
-    ``docs/distributed.md`` — an optional ``store`` directory for cached
+    ``{workers = 0, port = 9100, auth_token = "..."}`` (an external fleet)
+    or ``{workers = 0, max_workers = 4}`` (autoscaling) for the distributed
+    backend, see ``docs/distributed.md`` — an optional ``store`` directory for cached
     results (with an optional generation ``salt``), ``record_arrays``
     to persist trajectory arrays alongside the summary cells, and
     ``telemetry = false`` to drop the result's telemetry block.

@@ -1,63 +1,81 @@
-"""JSON-lines-over-TCP work-queue transport for hosts that share no filesystem.
+"""HTTP/JSON work-queue transport: the wire between coordinator and workers.
 
-The :class:`~repro.campaign.workqueue.FileWorkQueue` makes "distributed" mean
-"anything that shares a directory".  This module removes the shared-directory
-requirement: :class:`SocketWorkQueue` is a coordinator-hosted TCP server whose
-in-memory state implements the same
-:class:`~repro.campaign.workqueue.WorkQueue` protocol, and
-:class:`SocketWorkQueueClient` is the worker side used by
-``python -m repro.campaign.worker --connect host:port``.
+:class:`HttpWorkQueue` is the coordinator side — in-memory queue state for
+any number of hosted *runs* behind a small HTTP server — and
+:class:`HttpWorkQueueClient` is the worker side used by
+``python -m repro.campaign.worker --connect-http URL``.  The one coordinator
+that hosts the queue is :class:`~repro.campaign.service.CampaignService`
+(also inside every :class:`~repro.campaign.backends.DistributedBackend`
+campaign).
 
-The queue state, request handling and worker-side client logic are
-transport-agnostic: :class:`NetworkWorkQueue` / :class:`NetworkWorkQueueClient`
-carry everything except the wire, and the HTTP transport
-(:mod:`repro.campaign.transport_http`) reuses them verbatim — parity between
-the network transports is inheritance, not duplication.
+Wire protocol: each queue operation is one ``POST`` to an endpoint named
+after it, with the message fields as a JSON body and the response as a JSON
+body; task payloads and results are pickled and base64-encoded inside the
+JSON::
 
-Wire protocol: one request per connection, one JSON object per line; task
-payloads and results are pickled and base64-encoded inside the JSON (the same
-trust model as the file queue — only run workers you would also hand a pickle
-file to).  Operations mirror the queue protocol::
+    POST <base>/claim      {"worker": "w123"}
+        -> 200 {"ok": true, "index": 3, "run": "r...", "payload": "<b64>",
+                "lease": "<token>"}
+        -> 200 {"ok": true, "index": null, "retire": false}  # nothing pending
+    POST <base>/heartbeat  {"lease": "<token>"}        -> 200 {"ok": true}
+    POST <base>/complete   {"index": 3, "run": "r...",
+                            "lease": "...", "result": "<b64>"}
+    POST <base>/stop       {}                          -> 200 {"ok": true, "stop": false}
+    POST <base>/retire     {}                          -> 200 {"ok": true, "retire": false}
+    POST <base>/ping       {}                          -> 200 {"ok": true, "protocol": 2, ...}
+    GET  <base>/ping                                   -> 200 {"ok": true, "protocol": 2, ...}
+    GET  <base>/metrics                                -> 200 Prometheus text
+    GET  <base>/status                                 -> 200 {"pending": ..., "runs": ...}
 
-    {"op": "claim", "worker": "w123"}
-        -> {"ok": true, "index": 3, "run": "r...", "payload": "<b64>",
-            "lease": "<token>"}
-        -> {"ok": true, "index": null}           # nothing pending
-    {"op": "heartbeat", "lease": "<token>"}      -> {"ok": true}
-    {"op": "complete", "index": 3, "run": "r...",
-     "lease": "<token>", "result": "<b64>"}      -> {"ok": true}
-    {"op": "stop"}                               -> {"ok": true, "stop": false}
-    {"op": "retire"}                             -> {"ok": true, "retire": false}
-    {"op": "ping"}                               -> {"ok": true, "protocol": 2,
-                                                     "mode": "campaign",
-                                                     "service": false}
+The service's run-registry API is routed through the same server::
 
-**Authentication** — a coordinator constructed with ``auth_token`` requires
-every request to carry a matching ``"token"`` field (compared in constant
-time via :func:`hmac.compare_digest`).  Unauthenticated requests are answered
-with the *distinct* response ``{"ok": false, "denied": "auth", ...}`` — never
-the generic degrade path — and the client raises
+    POST   <base>/runs              {"spec": {...}} or {"tasks": [...]}
+    GET    <base>/runs              registry listing
+    GET    <base>/runs/<id>/status  one run's lifecycle + queue state
+    GET    <base>/runs/<id>/results one run's results (auth required)
+    DELETE <base>/runs/<id>         cancel the run, free its queue state
+    POST   <base>/rotate-token      {"new_token": "..."} (auth required)
+
+Every exchange is a single self-contained request/response — no streaming,
+no connection reuse, no server push — so any reverse proxy, load balancer
+or tunnel that can forward a POST can sit in front of the coordinator.
+``--connect-http`` accepts a path prefix (``http://lb.example.com/campaign``)
+and ``https://`` URLs for fleets whose proxy terminates TLS; ``GET /ping``
+doubles as a load-balancer health check.
+
+**Authentication** — a queue constructed with ``auth_token`` (one token or
+an accepted set, see :meth:`HttpWorkQueue.rotate_auth_token`) requires every
+wire request to carry a matching token, in the JSON body (``"token"``) or,
+for bodyless GET/DELETE, the ``X-Auth-Token`` header.  The comparison is
+constant-time (:func:`hmac.compare_digest`).  Rejections are the *distinct*
+response ``401 {"ok": false, "denied": "auth", ...}`` — never the generic
+degrade path — and the client raises
 :class:`~repro.campaign.workqueue.WorkQueueAuthError` so a misconfigured
 worker exits with a clear message instead of retry-looping.  The token never
-appears in logs, error messages or results.
+appears in logs, error messages or results.  ``/ping``, ``/metrics``,
+``/status``, ``GET /runs`` and per-run status stay unauthenticated
+observability surfaces; they never expose lease tokens or payloads.
 
-Fault semantics match the file transport exactly:
+Fault semantics:
 
 * **Heartbeat leases** — the server timestamps every heartbeat;
-  ``reclaim_expired`` moves stale claims back into the pending set and the
-  task is re-issued.  A worker whose TCP connection dies mid-task simply
-  stops heartbeating — the disconnect *is* the missed heartbeat.
+  :meth:`HttpWorkQueue.reclaim_expired` moves stale claims back into their
+  run's pending set and the task is re-issued.  A worker whose connection
+  dies mid-task simply stops heartbeating — the disconnect *is* the missed
+  heartbeat.
 * **Run namespacing** — ``complete`` messages carry the run id the task was
-  claimed under; a server ignores results of other runs, so a worker of a
-  killed previous campaign finishing late cannot smuggle its outcome into a
-  new run listening on the same port.
-* **Orphan detection** — there is no coordinator heartbeat file; server
-  *reachability* is the heartbeat.  The client tracks its last successful
-  round trip and reports the elapsed time as ``coordinator_age()``, so the
-  worker's standard orphan timeout applies unchanged.  Transient
-  unreachability (a coordinator restarting) merely degrades: ``claim``
-  returns ``None``, ``stop_requested`` returns ``False``, and the worker
-  keeps polling until the server is back or the orphan timeout expires.
+  claimed under; results of unknown, cancelled or removed runs are ignored,
+  so a worker of a killed previous coordinator finishing late cannot
+  smuggle its outcome into a new run listening on the same port.
+* **Orphan detection** — server *reachability* is the coordinator
+  heartbeat.  The client tracks its last successful round trip and reports
+  the elapsed time as ``coordinator_age()``; transient unreachability (a
+  coordinator restarting) merely degrades: ``claim`` returns ``None``,
+  ``stop_requested`` returns ``False``, and the worker keeps polling until
+  the server is back or the orphan timeout expires.
+
+Pickles on the wire mean one trust model: only expose the endpoint (even
+proxied) to hosts you would also hand a pickle file to.
 """
 
 from __future__ import annotations
@@ -67,16 +85,17 @@ import hmac
 import json
 import logging
 import pickle
-import socket
-import socketserver
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 import uuid
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from ..obs import MetricsRegistry
 from .workqueue import (
-    _DEFAULT_RUN,
     PROTOCOL_VERSION,
     WorkQueueAuthError,
     WorkQueueProtocolError,
@@ -85,25 +104,42 @@ from .workqueue import (
 
 logger = logging.getLogger(__name__)
 
-__all__ = [
-    "NetworkWorkQueue",
-    "NetworkWorkQueueClient",
-    "SocketWorkQueue",
-    "SocketWorkQueueClient",
-    "parse_address",
-]
+__all__ = ["HttpWorkQueue", "HttpWorkQueueClient", "parse_http_url"]
+
+#: Endpoints served (one per queue operation).
+_OPS = ("claim", "heartbeat", "complete", "stop", "retire", "ping")
 
 
-def parse_address(text: str) -> tuple[str, int]:
-    """Split ``host:port`` (IPv6 hosts may be bracketed: ``[::1]:9000``)."""
-    host, sep, port_text = text.rpartition(":")
-    if not sep or not host:
-        raise ValueError(f"address {text!r} must be host:port")
+def parse_http_url(url: str) -> str:
+    """Validate a coordinator base URL; returns it without a trailing slash.
+
+    Accepts ``http://`` and ``https://`` (a TLS-terminating proxy in front
+    of the coordinator) and an optional path prefix (a reverse proxy
+    routing by path).
+    """
+    parsed = urllib.parse.urlsplit(url)
+    if parsed.scheme not in ("http", "https"):
+        raise ValueError(
+            f"coordinator URL {url!r} must start with http:// or https://"
+        )
+    if not parsed.netloc:
+        raise ValueError(f"coordinator URL {url!r} has no host")
     try:
-        port = int(port_text)
+        parsed.port
     except ValueError:
-        raise ValueError(f"address {text!r} has a non-numeric port") from None
-    return host.strip("[]"), port
+        # A malformed port would fail every request and degrade into idle
+        # polling until the orphan timeout; reject it up front instead.
+        raise ValueError(f"coordinator URL {url!r} has a non-numeric port") from None
+    if parsed.query or parsed.fragment:
+        # Operation paths are appended to the base URL, so a query/fragment
+        # would end up *inside* the per-op endpoint ("...?team=a/claim") and
+        # every request would 404 against the coordinator.
+        raise ValueError(
+            f"coordinator URL {url!r} must not contain a query string or "
+            "fragment: per-operation paths (/claim, /heartbeat, ...) are "
+            "appended to it"
+        )
+    return url.rstrip("/")
 
 
 def _encode(value: Any) -> str:
@@ -139,8 +175,7 @@ class _Claim:
 
 
 class _RunState:
-    """Queue state of one hosted run: the unit a service-mode coordinator
-    multiplies.  A single-campaign coordinator hosts exactly one."""
+    """Queue state of one hosted run."""
 
     __slots__ = ("run_id", "pending", "results", "cancelled", "created",
                  "enqueued_total")
@@ -154,62 +189,182 @@ class _RunState:
         self.enqueued_total = 0
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:  # pragma: no cover - exercised via the client
-        line = self.rfile.readline()
-        if not line:
+class _HttpHandler(BaseHTTPRequestHandler):
+    # Self-contained request/responses with explicit Content-Length; the
+    # connection closes after each exchange (single-request semantics).
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, format: str, *args: Any) -> None:
+        """Silence the per-request stderr log: coordinators poll many times
+        a second, and request logs are where secrets go to leak."""
+
+    def _run_segments(self) -> list[str] | None:
+        """``["<id>", ...]`` after a ``/runs`` segment, ``[]`` for ``/runs``
+        itself, ``None`` when the path has no run-registry shape (or no
+        service is attached to answer it)."""
+        if self.server.service is None:
+            return None
+        path = urllib.parse.urlsplit(self.path).path
+        segments = [part for part in path.split("/") if part]
+        if "runs" not in segments:
+            return None
+        return segments[segments.index("runs") + 1:]
+
+    def _service_denied(self, request: dict[str, Any]) -> dict[str, Any] | None:
+        """Auth check for service endpoints: the token may arrive in the
+        JSON body or (for bodyless GET/DELETE) the ``X-Auth-Token`` header."""
+        if "token" not in request:
+            header = self.headers.get("X-Auth-Token")
+            if header:
+                request = {**request, "token": header}
+        return self.server.work_queue._check_auth(request)
+
+    def do_GET(self) -> None:  # pragma: no cover - exercised via the client
+        # Read-only observability surfaces.  Like /ping they are served
+        # without authentication: they expose queue *state* (depths, worker
+        # ids, lease ages — never lease tokens or payloads) so dashboards
+        # and CI probes can scrape an authenticated coordinator without a
+        # shared secret, and without bumping the auth-denial counter.
+        # The exception is /runs/<id>/results — results are tenant data.
+        tail = self._run_segments()
+        if tail is not None:
+            service = self.server.service
+            if not tail:
+                status, response = service.list_runs()
+            elif len(tail) == 2 and tail[1] == "status":
+                status, response = service.run_status(tail[0])
+            elif len(tail) == 2 and tail[1] == "results":
+                denied = self._service_denied({})
+                if denied is not None:
+                    self._reply(401, denied)
+                    return
+                status, response = service.run_results(tail[0])
+            else:
+                status, response = 404, {
+                    "ok": False,
+                    "error": "GET /runs, /runs/<id>/status or "
+                             "/runs/<id>/results",
+                }
+            self._reply(status, response)
             return
+        path = self.path.rstrip("/")
+        if path.endswith("/ping") or self.path in ("/", ""):
+            self._reply(200, self.server.work_queue.ping_info())
+        elif path.endswith("/metrics"):
+            self._reply_text(200, self.server.work_queue.metrics_text())
+        elif path.endswith("/status"):
+            self._reply(200, self.server.work_queue.status())
+        else:
+            self._reply(404, {"ok": False, "error": "POST to /<op>"})
+
+    def do_POST(self) -> None:  # pragma: no cover - exercised via the client
+        op = self.path.rstrip("/").rsplit("/", 1)[-1]
         try:
-            request = json.loads(line)
-            response = self.server.work_queue._handle(request)
+            length = int(self.headers.get("Content-Length") or 0)
+            body = self.rfile.read(length)
+            request = json.loads(body) if body else {}
+            if not isinstance(request, dict):
+                raise ValueError("request body must be a JSON object")
+            response = self._dispatch_post(op, request)
         except Exception as exc:
             response = {"ok": False, "error": repr(exc)}
+        if response.get("ok"):
+            status = 200
+        elif response.get("denied") == "auth":
+            status = 401  # distinct: proxies/metrics see auth failures as such
+        else:
+            status = getattr(self, "_service_status", 400)
+        self._reply(status, response)
+
+    def _dispatch_post(
+        self, op: str, request: dict[str, Any]
+    ) -> dict[str, Any]:
+        self._service_status = 400
+        service = self.server.service
+        if service is not None and op in ("runs", "rotate-token"):
+            denied = self._service_denied(request)
+            if denied is not None:
+                return denied
+            request.pop("token", None)  # never hand the secret downstream
+            if op == "runs":
+                self._service_status, response = service.submit(request)
+            else:
+                self._service_status, response = service.rotate_token(request)
+            return response
+        if op not in _OPS:
+            # An unknown endpoint must not dispatch with whatever "op"
+            # the body smuggled in.
+            return {"ok": False, "error": f"unknown endpoint {op!r}"}
+        request["op"] = op
+        return self.server.work_queue._handle(request)
+
+    def do_DELETE(self) -> None:  # pragma: no cover - exercised via the client
+        tail = self._run_segments()
+        if tail is None or len(tail) != 1:
+            self._reply(404, {"ok": False, "error": "DELETE /runs/<id>"})
+            return
+        denied = self._service_denied({})
+        if denied is not None:
+            self._reply(401, denied)
+            return
+        status, response = self.server.service.cancel(tail[0])
+        self._reply(status, response)
+
+    def _reply(self, status: int, response: dict[str, Any]) -> None:
+        self._send_blob(
+            status, "application/json", json.dumps(response).encode("ascii")
+        )
+
+    def _reply_text(self, status: int, text: str) -> None:
+        # The content type Prometheus scrapers expect for text exposition.
+        self._send_blob(
+            status, "text/plain; version=0.0.4", text.encode("utf-8")
+        )
+
+    def _send_blob(self, status: int, content_type: str, blob: bytes) -> None:
         try:
-            self.wfile.write((json.dumps(response) + "\n").encode("ascii"))
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(blob)))
+            self.send_header("Connection", "close")
+            self.end_headers()
+            self.wfile.write(blob)
         except OSError:
             pass  # client went away mid-response; its next poll retries
+        self.close_connection = True
 
 
-class _Server(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
+class _HttpServer(ThreadingHTTPServer):
     daemon_threads = True
-    work_queue: "NetworkWorkQueue"
+    work_queue: "HttpWorkQueue"
+    #: The CampaignService answering /runs requests; None on a bare queue
+    #: (the endpoints then 404).
+    service: Any = None
 
 
-class NetworkWorkQueue:
-    """In-memory coordinator-side work queue served over a network transport.
+class HttpWorkQueue:
+    """Coordinator-side work queue served over HTTP.
 
-    Everything except the wire lives here: the per-run pending/claimed/result
-    state, every :class:`~repro.campaign.workqueue.WorkQueue` method, the
-    request dispatcher (:meth:`_handle`) and the shared-secret check.
-    Subclasses only provide the server: :meth:`_make_server` returns a
-    started-ready ``socketserver`` instance whose handler feeds requests to
-    :meth:`_handle` (:class:`SocketWorkQueue` speaks JSON lines over raw
-    TCP, :class:`~repro.campaign.transport_http.HttpWorkQueue` speaks
-    HTTP/JSON).
+    Constructing the queue binds and starts the server — ``port=0`` picks
+    an ephemeral port, published via :attr:`address`/:attr:`url` — and
+    remote workers reach it through :class:`HttpWorkQueueClient` (directly
+    or through any HTTP proxy).
 
-    **Runs, not campaigns, are the unit of state.**  The queue hosts a
-    registry of :class:`_RunState` — one per run id — and claims hand out
-    tasks of *whichever* non-cancelled run has work (round-robin across
-    runs, lowest index within a run), so one attached worker fleet serves
-    every hosted run and keeps serving when any single run drains.  A
-    single-campaign coordinator (:class:`~repro.campaign.backends.
-    DistributedBackend`) hosts exactly one run — the *default* run bound to
-    the plain :class:`~repro.campaign.workqueue.WorkQueue` protocol methods
-    (``enqueue``/``collect``/``reset``/...), which preserves their
-    one-campaign semantics verbatim — while the campaign service
-    (:mod:`repro.campaign.service`) adds and retires runs on the fly via
-    :meth:`add_run` / :meth:`cancel_run` / :meth:`remove_run`.
+    **Runs are the unit of state.**  The queue hosts a registry of
+    :class:`_RunState` — one per run id — and claims hand out tasks of
+    *whichever* non-cancelled run has work (round-robin across runs, lowest
+    index within a run), so one attached worker fleet serves every hosted
+    run and keeps serving when any single run drains.  The coordinator adds
+    and retires runs on the fly (:meth:`add_run` / :meth:`cancel_run` /
+    :meth:`remove_run`).  Lifecycle is split accordingly:
+    :meth:`request_stop` raises the *transport-level* sentinel ("this
+    coordinator is going away, workers may exit"), while cancelling or
+    completing a run never touches it — a drained run must not send a
+    shared fleet home while sibling runs still have work.
 
-    Lifecycle is split accordingly: :meth:`request_stop` raises the
-    *transport-level* sentinel ("this coordinator is going away, workers
-    may exit"), while cancelling or completing a run never touches it — a
-    drained run must not send a shared fleet home while sibling runs still
-    have work.
-
-    Task payloads are pickled at :meth:`enqueue` time (like the file
-    transport, so an unpicklable payload fails loudly in the coordinator,
-    not silently on a worker) and kept in memory; nothing touches disk.
+    Task payloads are pickled at :meth:`enqueue_in` time (so an unpicklable
+    payload fails loudly in the coordinator, not silently on a worker) and
+    kept in memory; nothing touches disk.
 
     With ``auth_token`` set — a single token or a small accepted set
     (primary first, then still-valid previous tokens; see
@@ -218,22 +373,12 @@ class NetworkWorkQueue:
     need none.
     """
 
-    #: Ping/status self-description: a plain campaign coordinator or a
-    #: persistent multi-run service daemon.
-    _MODES = ("campaign", "service")
-
     def __init__(
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        run_id: str | None = None,
         auth_token: str | Sequence[str] | None = None,
-        mode: str = "campaign",
     ) -> None:
-        if run_id is not None:
-            validate_run_id(run_id)
-        if mode not in self._MODES:
-            raise ValueError(f"mode must be one of {self._MODES}, got {mode!r}")
         if isinstance(auth_token, str):
             auth_token = (auth_token,)
         elif auth_token is not None:
@@ -242,21 +387,19 @@ class NetworkWorkQueue:
             not auth_token or not all(auth_token)
         ):
             raise ValueError("auth tokens must be non-empty strings")
-        self.run_id = run_id or _DEFAULT_RUN
-        self.mode = mode
         self._auth_tokens = auth_token
         self._lock = threading.Lock()
-        self._runs: dict[str, _RunState] = {
-            self.run_id: _RunState(self.run_id)
-        }
+        self._runs: dict[str, _RunState] = {}
         self._claims: dict[str, _Claim] = {}
         self._rotation = 0
         self._stop = False
         self._retire_credits = 0
         self._started = time.time()
-        # Unlike the directory queue, every operation of every worker flows
-        # through this server, so these counters are authoritative for the
-        # whole run — the HTTP transport serves them at ``GET /metrics``.
+        #: High-water mark of the pending depth summed over every run.
+        self.pending_peak = 0
+        # Every operation of every worker flows through this server, so
+        # these counters are authoritative for the whole coordinator — they
+        # are served at ``GET /metrics``.
         self.metrics = MetricsRegistry()
         self._m_enqueued = self.metrics.counter(
             "repro_queue_enqueued_total", "Tasks enqueued on this coordinator.")
@@ -284,18 +427,15 @@ class NetworkWorkQueue:
             "repro_run_completions_total", "Results accepted, by run id.")
         self._g_run_pending = self.metrics.gauge(
             "repro_run_pending", "Tasks awaiting a claim, by run id.")
-        self._server = self._make_server(host, port)
+        self._server = _HttpServer((host, port), _HttpHandler)
         self._server.work_queue = self
         self._thread = threading.Thread(
             target=self._server.serve_forever,
             kwargs={"poll_interval": 0.05},
-            name=f"{type(self).__name__}-{self.run_id}",
+            name="HttpWorkQueue",
             daemon=True,
         )
         self._thread.start()
-
-    def _make_server(self, host: str, port: int) -> socketserver.BaseServer:
-        raise NotImplementedError  # pragma: no cover - subclass hook
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -305,6 +445,14 @@ class NetworkWorkQueue:
         host, port = self._server.server_address[:2]
         return host, port
 
+    @property
+    def url(self) -> str:
+        """Base URL workers on this host can reach the server under."""
+        host, port = self.address
+        if host in ("", "0.0.0.0", "::"):
+            host = "127.0.0.1"
+        return f"http://{host}:{port}"
+
     def close(self) -> None:
         """Stop serving.  Workers observe connection failures from here on
         and retire via their orphan timeout."""
@@ -312,13 +460,13 @@ class NetworkWorkQueue:
         self._server.server_close()
         self._thread.join(timeout=5.0)
 
-    def __enter__(self) -> "NetworkWorkQueue":
+    def __enter__(self) -> "HttpWorkQueue":
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    # -- run registry (service mode hosts many; campaign mode keeps one) ---------
+    # -- run registry ------------------------------------------------------------
 
     def add_run(self, run_id: str) -> None:
         """Host a new run alongside the existing ones.
@@ -334,15 +482,10 @@ class NetworkWorkQueue:
 
     def remove_run(self, run_id: str) -> None:
         """Forget a hosted run entirely: pending tasks, results, and any
-        live leases on it.  The default run cannot be removed — it *is* the
-        identity of a single-campaign coordinator."""
+        live leases on it (late results are then ignored)."""
         with self._lock:
-            if run_id == self.run_id:
-                raise ValueError("cannot remove the coordinator's default run")
             self._runs.pop(run_id, None)
-            for token, claim in list(self._claims.items()):
-                if claim.run == run_id:
-                    del self._claims[token]
+            self._drop_leases(run_id)
 
     def cancel_run(self, run_id: str) -> bool:
         """Stop one hosted run without touching its siblings or the
@@ -355,26 +498,18 @@ class NetworkWorkQueue:
                 return False
             state.cancelled = True
             state.pending.clear()
-            for token, claim in list(self._claims.items()):
-                if claim.run == run_id:
-                    del self._claims[token]
+            self._drop_leases(run_id)
         logger.info("run %s cancelled", run_id)
         return True
 
     def run_ids(self) -> list[str]:
-        """Ids of every hosted run (the default run included), sorted."""
+        """Ids of every hosted run, sorted."""
         with self._lock:
             return sorted(self._runs)
 
-    def run_cancelled(self, run_id: str) -> bool:
-        """Whether a hosted run was cancelled (or removed entirely)."""
-        with self._lock:
-            state = self._runs.get(run_id)
-            return state is None or state.cancelled
-
     def enqueue_in(self, run_id: str, index: int, payload: Any) -> None:
-        """Enqueue one task into a specific hosted run (KeyError if the run
-        is unknown, ValueError if it was cancelled)."""
+        """Enqueue one task into a hosted run (KeyError if the run is
+        unknown, ValueError if it was cancelled)."""
         blob = pickle.dumps(payload)
         with self._lock:
             state = self._runs[run_id]
@@ -382,6 +517,10 @@ class NetworkWorkQueue:
                 raise ValueError(f"run {run_id!r} is cancelled")
             state.pending[index] = blob
             state.enqueued_total += 1
+            self.pending_peak = max(
+                self.pending_peak,
+                sum(len(run.pending) for run in self._runs.values()),
+            )
         self._m_enqueued.inc()
         self._m_run_enqueued.inc(run=run_id)
 
@@ -400,10 +539,15 @@ class NetworkWorkQueue:
                 if index not in known
             }
 
-    def pending_count_in(self, run_id: str) -> int:
+    def backlog(self) -> tuple[int, int]:
+        """``(pending, outstanding)`` summed over the live runs: tasks
+        awaiting a claim, and those plus the ones under lease."""
         with self._lock:
-            state = self._runs.get(run_id)
-            return len(state.pending) if state is not None else 0
+            pending = sum(
+                len(state.pending) for state in self._runs.values()
+                if not state.cancelled
+            )
+            return pending, pending + len(self._claims)
 
     def rotate_auth_token(self, new_token: str, keep_previous: int = 1) -> None:
         """Install ``new_token`` as the primary secret while the most
@@ -436,32 +580,16 @@ class NetworkWorkQueue:
         return {
             "ok": True,
             "protocol": PROTOCOL_VERSION,
-            "mode": self.mode,
-            "service": self.mode == "service",
+            "mode": "service",
+            "service": True,
         }
 
-    # -- coordinator side (WorkQueue protocol, bound to the default run) ---------
-
-    def enqueue(self, index: int, payload: Any) -> None:
-        self.enqueue_in(self.run_id, index, payload)
-
-    def reset(self) -> None:
-        """Clear the *default* run's queue state plus the coordinator-wide
-        stop/retire flags — exactly the old single-campaign semantics.
-        Other hosted runs are untouched (the service resets a tenant by
-        cancel/remove instead)."""
-        with self._lock:
-            state = self._runs[self.run_id]
-            state.pending.clear()
-            state.results.clear()
-            state.cancelled = False
-            for token, claim in list(self._claims.items()):
-                if claim.run == self.run_id:
-                    del self._claims[token]
-            self._stop = False
-            self._retire_credits = 0
+    # -- coordinator side --------------------------------------------------------
 
     def reclaim_expired(self, lease_timeout: float) -> list[int]:
+        """Re-queue claimed tasks whose heartbeat is older than the lease;
+        returns their indices.  A worker that is merely slow (not dead)
+        keeps running and publishes a duplicate — equally valid — result."""
         now = time.time()
         reclaimed: list[int] = []
         with self._lock:
@@ -478,58 +606,33 @@ class NetworkWorkQueue:
             logger.warning("lease on task %d expired; re-queued", index)
         return reclaimed
 
-    def collect(self, seen: Iterable[int] = ()) -> dict[int, Any]:
-        return self.collect_run(self.run_id, seen)
-
-    def pending_count(self) -> int:
-        return self.pending_count_in(self.run_id)
-
     def request_stop(self) -> None:
         """Raise the *transport-level* shutdown sentinel: this coordinator
         is going away and attached workers may exit.  A single run draining
-        or being cancelled never calls this — on a service daemon the fleet
-        outlives every individual run."""
+        or being cancelled never calls this — the fleet outlives every
+        individual run."""
         with self._lock:
             self._stop = True
-
-    def touch_coordinator(self) -> None:
-        """No-op: over the network, server reachability *is* the coordinator
-        heartbeat (see the module docstring)."""
-
-    def set_retire_credits(self, count: int) -> None:
-        with self._lock:
-            self._retire_credits = max(0, count)
-
-    # -- worker side (also served over the wire via _handle) ---------------------
-
-    def claim(self, worker_id: str) -> tuple[int, Any, Any] | None:
-        claimed = self._claim_blob(worker_id)
-        if claimed is None:
-            return None
-        run, index, blob, token = claimed
-        return index, pickle.loads(blob), _Lease(token, run, index)
-
-    def heartbeat(self, lease: Any) -> None:
-        token = lease.token if isinstance(lease, _Lease) else lease
-        with self._lock:
-            claim = self._claims.get(token)
-            if claim is not None:
-                claim.last_beat = time.time()
-        self._m_heartbeats.inc()
-
-    def complete(self, index: int, result: Any, lease: Any | None = None) -> None:
-        run = lease.run if isinstance(lease, _Lease) else self.run_id
-        token = lease.token if isinstance(lease, _Lease) else None
-        self._complete(index, run, result, token)
 
     def stop_requested(self) -> bool:
         with self._lock:
             return self._stop
 
-    def coordinator_age(self) -> float | None:
-        return 0.0  # in-process callers share the coordinator's fate
+    def set_retire_credits(self, count: int) -> None:
+        """Make exactly ``count`` retire credits available to idle workers.
+
+        Setting (rather than adding) is idempotent: the autoscaler
+        re-derives the surplus every tick, so credits left over from
+        workers that died instead of retiring are withdrawn rather than
+        stockpiled — a later scale-up cannot be instantly killed off by
+        stale credits.
+        """
+        with self._lock:
+            self._retire_credits = max(0, count)
 
     def try_retire(self) -> bool:
+        """Consume one retire credit, if any: each credit dismisses exactly
+        one idle worker."""
         with self._lock:
             if self._retire_credits > 0:
                 self._retire_credits -= 1
@@ -539,10 +642,9 @@ class NetworkWorkQueue:
     # -- observability -----------------------------------------------------------
 
     def status(self) -> dict[str, Any]:
-        """Live queue state, JSON-ready (``GET /status`` on the HTTP
-        transport).  Leases are described — index, worker, heartbeat age —
-        but their tokens are capability handles and never leave the server.
-        """
+        """Live queue state, JSON-ready (``GET /status``).  Leases are
+        described — index, worker, heartbeat age — but their tokens are
+        capability handles and never leave the server."""
         now = time.time()
         with self._lock:
             pending = sum(len(state.pending) for state in self._runs.values())
@@ -574,8 +676,7 @@ class NetworkWorkQueue:
             }
         claimed.sort(key=lambda entry: (entry["run"], entry["index"]))
         return {
-            "run": self.run_id,
-            "mode": self.mode,
+            "mode": "service",
             "protocol": PROTOCOL_VERSION,
             "uptime_s": round(now - self._started, 3),
             "auth": self._auth_tokens is not None,
@@ -603,9 +704,8 @@ class NetworkWorkQueue:
         return self.metrics.render_prometheus()
 
     def stats_snapshot(self) -> dict[str, Any]:
-        """Flat counter snapshot plus current depths (JSON-ready); same
-        shape as :meth:`FileWorkQueue.stats_snapshot`, with the wire-only
-        ``auth_denials`` extra.  Depths sum over every hosted run."""
+        """Flat counter snapshot plus current depths summed over every
+        hosted run (JSON-ready)."""
         with self._lock:
             pending = sum(len(state.pending) for state in self._runs.values())
             claimed = len(self._claims)
@@ -621,6 +721,12 @@ class NetworkWorkQueue:
         }
 
     # -- internal ----------------------------------------------------------------
+
+    def _drop_leases(self, run_id: str) -> None:
+        """Forget every lease on one run (caller holds the lock)."""
+        for token, claim in list(self._claims.items()):
+            if claim.run == run_id:
+                del self._claims[token]
 
     def _claim_blob(self, worker_id: str) -> tuple[str, int, bytes, str] | None:
         with self._lock:
@@ -677,8 +783,7 @@ class NetworkWorkQueue:
         if accepted:
             self._m_run_completions.inc(run=run)
         # else: a late answer for an unknown or cancelled run — lease
-        # released, result ignored, matching FileWorkQueue.collect's
-        # run filter.
+        # released, result ignored.
 
     def _check_auth(self, request: dict[str, Any]) -> dict[str, Any] | None:
         """Denied-response for an unauthenticated request, ``None`` when ok.
@@ -729,7 +834,7 @@ class NetworkWorkQueue:
         return None
 
     def _handle(self, request: dict[str, Any]) -> dict[str, Any]:
-        """Serve one wire request (called from server handler threads)."""
+        """Serve one queue operation (called from server handler threads)."""
         denied = self._check_auth(request)
         if denied is not None:
             return denied
@@ -751,7 +856,11 @@ class NetworkWorkQueue:
                 "lease": token,
             }
         if op == "heartbeat":
-            self.heartbeat(str(request.get("lease", "")))
+            with self._lock:
+                claim = self._claims.get(str(request.get("lease", "")))
+                if claim is not None:
+                    claim.last_beat = time.time()
+            self._m_heartbeats.inc()
             return {"ok": True}
         if op == "complete":
             try:
@@ -780,23 +889,15 @@ class NetworkWorkQueue:
         return {"ok": False, "error": f"unknown op {op!r}"}
 
 
-class SocketWorkQueue(NetworkWorkQueue):
-    """Coordinator-hosted TCP work queue (server side of the transport).
-
-    Constructing the queue binds and starts the server — ``port=0`` picks an
-    ephemeral port, published via :attr:`address`.  The object itself is a
-    full :class:`~repro.campaign.workqueue.WorkQueue`: the coordinator calls
-    the same ``enqueue``/``collect``/``reclaim_expired`` methods it would on
-    a :class:`~repro.campaign.workqueue.FileWorkQueue`, while remote workers
-    reach the worker-side half through :class:`SocketWorkQueueClient`.
-    """
-
-    def _make_server(self, host: str, port: int) -> socketserver.BaseServer:
-        return _Server((host, port), _Handler)
+def _is_loopback(host: str | None) -> bool:
+    if host is None:
+        return False
+    return host == "localhost" or host.startswith("127.") or host == "::1"
 
 
-class NetworkWorkQueueClient:
-    """Worker-side :class:`~repro.campaign.workqueue.WorkQueue` over a wire.
+class HttpWorkQueueClient:
+    """Worker-side :class:`~repro.campaign.workqueue.WorkQueue` over HTTP:
+    one POST per operation against a coordinator (or proxy) base URL.
 
     Every operation is one short-lived request, so a worker holds no state
     the coordinator could leak: a dropped connection mid-task only stops
@@ -813,16 +914,17 @@ class NetworkWorkQueueClient:
     shared secret, so it raises
     :class:`~repro.campaign.workqueue.WorkQueueAuthError` for the worker to
     surface and exit on.
-
-    Subclasses provide :meth:`_send` — one message out, one parsed JSON
-    response back (``None`` on any transport failure).
     """
 
     def __init__(
-        self, timeout: float = 10.0, auth_token: str | None = None
+        self,
+        base_url: str,
+        timeout: float = 10.0,
+        auth_token: str | None = None,
     ) -> None:
         if auth_token is not None and not auth_token:
             raise ValueError("auth_token must be a non-empty string")
+        self._base_url = parse_http_url(base_url)
         self._timeout = timeout
         self._auth_token = auth_token
         self._last_contact = time.time()
@@ -832,11 +934,19 @@ class NetworkWorkQueueClient:
         #: is unreachable, instead of hammering a restarting daemon with
         #: fixed-interval ticks from the whole fleet at once.
         self.consecutive_failures = 0
-
-    def _send(self, message: dict[str, Any]) -> dict[str, Any] | None:
-        raise NotImplementedError  # pragma: no cover - subclass hook
-
-    # -- worker side -------------------------------------------------------------
+        if _is_loopback(urllib.parse.urlsplit(self._base_url).hostname):
+            # A loopback coordinator (notably: the one that spawned this
+            # worker) must be reached directly — honouring an http_proxy
+            # environment variable would route 127.0.0.1 through a proxy
+            # that cannot reach it and silently hang the campaign as the
+            # failures degrade into idle polling.  Non-loopback URLs keep
+            # the default handlers, so workers behind forward proxies
+            # still traverse them.
+            self._opener = urllib.request.build_opener(
+                urllib.request.ProxyHandler({})
+            )
+        else:
+            self._opener = urllib.request.build_opener()
 
     def claim(self, worker_id: str) -> tuple[int, Any, Any] | None:
         response = self._request({"op": "claim", "worker": worker_id})
@@ -845,7 +955,7 @@ class NetworkWorkQueueClient:
         if response.get("index") is None:
             # An idle claim carries the retire answer (see the server);
             # cache it for the try_retire call that follows in the worker
-            # loop, sparing it a connection per poll tick.
+            # loop, sparing it a request per poll tick.
             self._retire_answer = bool(response.get("retire"))
             return None
         index = int(response["index"])
@@ -853,9 +963,9 @@ class NetworkWorkQueueClient:
         try:
             payload = _decode(response["payload"])
         except Exception as exc:
-            # Same poison-pill rule as the file transport: a payload whose
-            # function is not importable here must come back as a failed
-            # result, not crash-loop every worker that claims it.
+            # Poison pill: a payload whose function is not importable here
+            # must come back as a failed result, not crash-loop every
+            # worker that claims it.
             self.complete(
                 index, ("error", f"unreadable task payload: {exc!r}"), lease
             )
@@ -888,7 +998,7 @@ class NetworkWorkQueueClient:
         if age < self._timeout:
             # The stop/claim polls of the current worker tick already
             # probed reachability and refreshed the contact time; a
-            # dedicated ping here would be a wasted connection per tick.
+            # dedicated ping here would be a wasted request per tick.
             return age
         if self._request({"op": "ping"}) is not None:
             return 0.0
@@ -930,39 +1040,11 @@ class NetworkWorkQueueClient:
             )
         return response
 
-    # -- coordinator-side protocol methods (a client is worker-only) -------------
-
-    def enqueue(self, index: int, payload: Any) -> None:
-        raise NotImplementedError("enqueue tasks on the coordinator's work queue")
-
-    def reset(self) -> None:
-        raise NotImplementedError("reset happens on the coordinator's work queue")
-
-    def reclaim_expired(self, lease_timeout: float) -> list[int]:
-        raise NotImplementedError("leases are reclaimed by the coordinator")
-
-    def collect(self, seen: Iterable[int] = ()) -> dict[int, Any]:
-        raise NotImplementedError("results are collected by the coordinator")
-
-    def pending_count(self) -> int:
-        raise NotImplementedError("pending counts live on the coordinator")
-
-    def request_stop(self) -> None:
-        raise NotImplementedError("stop is requested by the coordinator")
-
-    def touch_coordinator(self) -> None:
-        raise NotImplementedError("only the coordinator heartbeats itself")
-
-    def set_retire_credits(self, count: int) -> None:
-        raise NotImplementedError("retire credits are granted by the coordinator")
-
-    # -- internal ----------------------------------------------------------------
-
     def _request(self, message: dict[str, Any]) -> dict[str, Any] | None:
         """One round trip: ``None`` on failure, raises on auth rejection."""
         if self._auth_token is not None:
             message = {**message, "token": self._auth_token}
-        response = self._send(message)
+        response = self._post(message)
         if not response:
             self.consecutive_failures += 1
             return None
@@ -981,29 +1063,31 @@ class NetworkWorkQueueClient:
         self._last_contact = time.time()
         return response
 
-
-class SocketWorkQueueClient(NetworkWorkQueueClient):
-    """Worker-side :class:`~repro.campaign.workqueue.WorkQueue` over TCP:
-    one short-lived connection and one JSON line per operation."""
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        timeout: float = 10.0,
-        auth_token: str | None = None,
-    ) -> None:
-        super().__init__(timeout=timeout, auth_token=auth_token)
-        self._address = (host, port)
-
-    def _send(self, message: dict[str, Any]) -> dict[str, Any] | None:
+    def _post(self, message: dict[str, Any]) -> dict[str, Any] | None:
+        """POST one message to ``<base>/<op>``; the parsed JSON response,
+        ``None`` on any transport failure."""
+        payload = dict(message)
+        op = payload.pop("op")
+        request = urllib.request.Request(
+            f"{self._base_url}/{op}",
+            data=json.dumps(payload).encode("ascii"),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
         try:
-            with socket.create_connection(
-                self._address, timeout=self._timeout
-            ) as connection:
-                connection.sendall((json.dumps(message) + "\n").encode("ascii"))
-                with connection.makefile("rb") as reader:
-                    line = reader.readline()
-            return json.loads(line) if line else None
+            with self._opener.open(request, timeout=self._timeout) as reply:
+                body = reply.read()
+        except urllib.error.HTTPError as exc:
+            # Non-2xx still carries the JSON response (e.g. 401 with
+            # denied: "auth"); an HTML error page from a proxy in front
+            # fails the JSON parse below and degrades like any outage.
+            try:
+                body = exc.read()
+            except OSError:
+                return None
         except (OSError, ValueError):
+            return None
+        try:
+            return json.loads(body) if body else None
+        except ValueError:
             return None

@@ -1,37 +1,33 @@
-"""Campaign work-queue worker: ``python -m repro.campaign.worker QUEUE_DIR``
-(file transport), ``python -m repro.campaign.worker --connect host:port``
-(TCP transport) or ``python -m repro.campaign.worker --connect-http URL``
-(HTTP transport, for workers that reach the coordinator only through a
-proxy or load balancer).
+"""Campaign work-queue worker: ``python -m repro.campaign.worker --connect-http URL``.
 
-One worker process drains one :class:`~repro.campaign.workqueue.WorkQueue`:
-claim a task, heartbeat the lease while executing it, publish the result,
-repeat until the coordinator raises the stop sentinel.  Workers are
-stateless — any number may attach to the same queue (the
-:class:`~repro.campaign.backends.DistributedBackend` spawns local ones, but
-workers started by hand on any host sharing the directory — or able to
-reach the coordinator's TCP port — join the same campaign), and a worker
-killed mid-task loses nothing: its lease expires and the task is re-issued.
+One worker process drains a coordinator's HTTP work queue (see
+:mod:`repro.campaign.transport`): claim a task, heartbeat the lease while
+executing it, publish the result, repeat until the coordinator raises the
+stop sentinel.  Workers are stateless — any number may attach to the same
+coordinator (a :class:`~repro.campaign.service.CampaignService` spawns local
+ones, but workers started by hand on any host that can reach its URL —
+directly or through a proxy — join the same fleet), and a worker killed
+mid-task loses nothing: its lease expires and the task is re-issued.
 An idle worker also exits when the coordinator grants it a *retire credit*
-(autoscaling scale-down) or when the coordinator has been unreachable/silent
-for the orphan timeout.  While the coordinator is unreachable, idle polling
+(autoscaling scale-down) or when the coordinator has been unreachable for
+the orphan timeout.  While the coordinator is unreachable, idle polling
 backs off exponentially with jitter (capped) instead of fixed-interval
 ticks, so a large fleet does not synchronously hammer a restarting daemon;
 a worker whose coordinator speaks a different protocol version exits
 immediately with a clear message (see
-:meth:`~repro.campaign.transport.NetworkWorkQueueClient.check_protocol`).
+:meth:`~repro.campaign.transport.HttpWorkQueueClient.check_protocol`).
 
 Task payloads are ``(fn, item)`` pairs; results are ``("ok", fn(item))`` or
 ``("error", traceback_text)``.  ``fn`` must be importable on the worker
 (module-level or ``functools.partial`` of one) — the same constraint a
 process pool imposes.
 
-Coordinators on the network transports may require a shared-secret auth
-token (``--auth-token``, or ``$REPRO_CAMPAIGN_AUTH_TOKEN`` — preferred,
-since the environment does not show up in process listings).  A worker
-whose token is missing or wrong is rejected with a distinct error and
-**exits immediately with a clear message** — authentication failures are
-configuration errors that retrying cannot fix, so they never retry-loop.
+Coordinators may require a shared-secret auth token (``--auth-token``, or
+``$REPRO_CAMPAIGN_AUTH_TOKEN`` — preferred, since the environment does not
+show up in process listings).  A worker whose token is missing or wrong is
+rejected with a distinct error and **exits immediately with a clear
+message** — authentication failures are configuration errors that retrying
+cannot fix, so they never retry-loop.
 """
 
 from __future__ import annotations
@@ -43,12 +39,10 @@ import sys
 import threading
 import time
 import traceback
-from pathlib import Path
 from typing import Any
 
 from ..obs import EventLog, configure_json_logging, emit, set_event_log
 from .workqueue import (
-    FileWorkQueue,
     WorkQueue,
     WorkQueueAuthError,
     WorkQueueProtocolError,
@@ -64,7 +58,7 @@ def _idle_delay(
     """Sleep before the next idle poll tick.
 
     While the coordinator answers, this is the plain ``poll_interval``.
-    While it is *unreachable* (the network clients count
+    While it is *unreachable* (the HTTP client counts
     ``consecutive_failures``; queues without the attribute never back off),
     the delay doubles per failed round trip up to a cap, with jitter — so a
     large fleet behind a restarting daemon spreads its reconnect attempts
@@ -111,78 +105,51 @@ class _Heartbeat:
 
 
 def run_worker(
-    queue_dir: str | Path | None = None,
+    connect_http: str | None = None,
     worker_id: str | None = None,
     lease_timeout: float = 30.0,
     poll_interval: float = 0.05,
     max_tasks: int | None = None,
     orphan_timeout: float | None = None,
-    connect: str | None = None,
-    connect_http: str | None = None,
     queue: WorkQueue | None = None,
     auth_token: str | None = None,
 ) -> int:
     """Drain the queue until stop is requested; returns the tasks completed.
 
-    The queue is given as exactly one of ``queue_dir`` (file transport),
-    ``connect="host:port"`` (TCP transport), ``connect_http="http://..."``
-    (HTTP transport) or ``queue`` (an explicit
+    The queue is given as exactly one of ``connect_http="http://..."`` (a
+    coordinator's base URL) or ``queue`` (an explicit
     :class:`~repro.campaign.workqueue.WorkQueue`, mainly for tests).
 
     ``lease_timeout`` must match the coordinator's: the heartbeat refreshes
     the lease every quarter of it.  ``max_tasks`` bounds the number of tasks
     (``None`` = unbounded) — useful for tests and one-shot workers.
 
-    ``auth_token`` is the network transports' shared secret (``None`` falls
-    back to ``$REPRO_CAMPAIGN_AUTH_TOKEN``); a coordinator rejecting it
-    raises :class:`~repro.campaign.workqueue.WorkQueueAuthError` out of this
-    function immediately — never a retry loop.  The file transport has no
-    authentication, so an explicit token there is a usage error.
+    ``auth_token`` is the shared secret (``None`` falls back to
+    ``$REPRO_CAMPAIGN_AUTH_TOKEN``); a coordinator rejecting it raises
+    :class:`~repro.campaign.workqueue.WorkQueueAuthError` out of this
+    function immediately — never a retry loop.
 
     ``orphan_timeout`` (default ``4 * lease_timeout``) guards against an
     abandoned queue: a coordinator killed without cleanup never raises the
-    stop sentinel, so an idle worker whose coordinator heartbeat is older
-    than this — for the network transports: whose coordinator has been
-    *unreachable* this long — exits on its own instead of polling forever.
-    File queues that never announced a coordinator (manually driven) are
-    exempt.
+    stop sentinel, so an idle worker whose coordinator has been
+    *unreachable* this long exits on its own instead of polling forever.
     """
-    sources = (queue_dir, connect, connect_http, queue)
-    if sum(source is not None for source in sources) != 1:
-        raise ValueError(
-            "exactly one of queue_dir, connect, connect_http or queue "
-            "must be given"
-        )
+    if (connect_http is None) == (queue is None):
+        raise ValueError("exactly one of connect_http or queue must be given")
     if queue is not None and auth_token is not None:
-        # Same loud-error policy as the file transport below: an explicit
-        # queue object carries its own credentials (or none), so a token
-        # here could never take effect and must not be silently dropped.
+        # An explicit queue object carries its own credentials (or none),
+        # so a token here could never take effect and must not be silently
+        # dropped.
         raise ValueError(
             "auth_token cannot be applied to an explicit queue object; "
             "configure the token on the queue client itself"
         )
     if queue is None:
-        if connect is not None:
-            from .transport import SocketWorkQueueClient, parse_address
+        from .transport import HttpWorkQueueClient
 
-            queue = SocketWorkQueueClient(
-                *parse_address(connect),
-                auth_token=resolve_auth_token(auth_token),
-            )
-        elif connect_http is not None:
-            from .transport_http import HttpWorkQueueClient
-
-            queue = HttpWorkQueueClient(
-                connect_http, auth_token=resolve_auth_token(auth_token)
-            )
-        else:
-            if auth_token is not None:
-                raise ValueError(
-                    "auth_token applies to the network transports "
-                    "(connect/connect_http); the file queue has no "
-                    "authentication"
-                )
-            queue = FileWorkQueue(queue_dir)
+        queue = HttpWorkQueueClient(
+            connect_http, auth_token=resolve_auth_token(auth_token)
+        )
     if worker_id is None:
         worker_id = f"w{os.getpid()}"
     if orphan_timeout is None:
@@ -234,26 +201,19 @@ def run_worker(
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.campaign.worker",
-        description="Attach one campaign worker to a work queue: a shared "
-        "directory (file transport), a coordinator's TCP server "
-        "(--connect), or its HTTP server (--connect-http).",
+        description="Attach one campaign worker to a coordinator's HTTP "
+        "work queue.",
     )
-    parser.add_argument("queue", nargs="?", default=None,
-                        help="work-queue directory shared with the coordinator "
-                        "(omit when using --connect/--connect-http)")
-    parser.add_argument("--connect", default=None, metavar="HOST:PORT",
-                        help="connect to a coordinator's socket work queue "
-                        "instead of a shared directory")
-    parser.add_argument("--connect-http", default=None, metavar="URL",
-                        help="connect to a coordinator's HTTP work queue "
-                        "(http[s]://host:port[/prefix]; works through "
-                        "reverse proxies and load balancers)")
+    parser.add_argument("--connect-http", required=True, metavar="URL",
+                        help="coordinator base URL (http[s]://host:port"
+                        "[/prefix]; works through reverse proxies and load "
+                        "balancers)")
     parser.add_argument("--auth-token", default=None, metavar="TOKEN",
-                        help="shared-secret token for the network transports "
-                        "(default: $REPRO_CAMPAIGN_AUTH_TOKEN; prefer the "
-                        "environment — argv is visible in process listings)")
+                        help="shared-secret token (default: "
+                        "$REPRO_CAMPAIGN_AUTH_TOKEN; prefer the environment "
+                        "— argv is visible in process listings)")
     parser.add_argument("--worker-id", default=None,
-                        help="lease label (default: w<pid>; no dots or path separators)")
+                        help="lease label (default: w<pid>)")
     parser.add_argument("--lease-timeout", type=float, default=30.0,
                         help="coordinator's lease expiry [s] (default: 30)")
     parser.add_argument("--poll", type=float, default=0.05, dest="poll_interval",
@@ -261,8 +221,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-tasks", type=int, default=None,
                         help="exit after completing this many tasks")
     parser.add_argument("--orphan-timeout", type=float, default=None,
-                        help="exit when idle and the coordinator heartbeat "
-                        "is older than this [s] (default: 4x lease timeout)")
+                        help="exit when idle and the coordinator has been "
+                        "unreachable this long [s] (default: 4x lease "
+                        "timeout)")
     parser.add_argument("--metrics-jsonl", default=None, metavar="PATH",
                         help="append structured JSONL event records "
                         "(task claims/completions, worker exit) to PATH")
@@ -272,19 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    sources = (args.queue, args.connect, args.connect_http)
-    if sum(source is not None for source in sources) != 1:
-        parser.error(
-            "give exactly one of a queue directory, --connect or "
-            "--connect-http"
-        )
-    if args.auth_token is not None and args.queue is not None:
-        parser.error(
-            "--auth-token applies to --connect/--connect-http; the file "
-            "queue has no authentication"
-        )
+    args = _build_parser().parse_args(argv)
     if args.log_json:
         configure_json_logging()
     event_log = None
@@ -296,14 +245,12 @@ def main(argv: list[str] | None = None) -> int:
         set_event_log(event_log)
     try:
         run_worker(
-            args.queue,
+            args.connect_http,
             worker_id=args.worker_id,
             lease_timeout=args.lease_timeout,
             poll_interval=args.poll_interval,
             max_tasks=args.max_tasks,
             orphan_timeout=args.orphan_timeout,
-            connect=args.connect,
-            connect_http=args.connect_http,
             auth_token=args.auth_token,
         )
     except WorkQueueAuthError as exc:

@@ -1,11 +1,10 @@
-"""Tests for the distributed file-queue backend and trajectory persistence.
+"""Tests for the distributed backend and trajectory persistence.
 
 Three layers are covered without real flights wherever possible (per the
 ``ThresholdBackend`` pattern of ``tests/test_adaptive.py``):
 
-* :class:`~repro.campaign.workqueue.FileWorkQueue` primitives and the worker
-  loop — claims are exclusive, abandoned leases are re-issued, failures ship
-  back as data;
+* :func:`~repro.campaign.backends.ordered` — the one loop that turns
+  completion-order results into input-order ones;
 * :class:`~repro.campaign.DistributedBackend` — out-of-order completion
   yields in input order, dead workers surface loudly, crashed workers lose
   nothing (end-to-end with real subprocesses over a cheap picklable fn);
@@ -19,6 +18,7 @@ in ``benchmarks/test_distributed_backend.py``.
 
 import functools
 import os
+import socket
 import threading
 import time
 from dataclasses import dataclass, field
@@ -30,12 +30,12 @@ import pytest
 from repro.campaign import (
     CampaignRunner,
     DistributedBackend,
-    FileWorkQueue,
+    HttpWorkQueueClient,
     ScenarioGrid,
 )
+from repro.campaign.backends import ordered
 from repro.campaign.results import SUMMARY_FIELDS, VariantOutcome
 from repro.campaign.spec import build_runner, build_scenario
-from repro.campaign.worker import run_worker
 from repro.sim import FlightScenario
 from repro.store import CampaignStore, cache_key
 
@@ -92,10 +92,6 @@ def _double(item):
     return item * 2
 
 
-def _triple(item):
-    return item * 3
-
-
 def _boom(item):
     raise RuntimeError(f"boom on {item!r}")
 
@@ -113,159 +109,54 @@ def _crash_worker_once(item, marker_dir):
     return item * 2
 
 
-class TestFileWorkQueue:
-    def test_enqueue_claim_complete_roundtrip(self, tmp_path):
-        queue = FileWorkQueue(tmp_path)
-        for index, payload in enumerate(["x", "y"]):
-            queue.enqueue(index, payload)
-        assert queue.pending_count() == 2
+class TestOrdered:
+    def test_yields_input_order_and_reports_completion_order(self):
+        completions = []
+        results = list(ordered(
+            [(2, "c"), (0, "a"), (1, "b")], 3,
+            on_complete=lambda index, result: completions.append(index),
+        ))
+        assert results == ["a", "b", "c"]
+        assert completions == [2, 0, 1]
 
-        index, payload, lease = queue.claim("w1")
-        assert (index, payload) == (0, "x")  # lowest index first
-        assert lease.exists()
-        queue.complete(index, ("ok", "done"), lease)
-        assert not lease.exists()
-        assert queue.collect() == {0: ("ok", "done")}
-        assert queue.collect(seen={0}) == {}
-        assert queue.pending_count() == 1
+    def test_repeated_index_is_ignored(self):
+        # A re-issued lease completed twice must not be reported twice.
+        completions = []
+        results = list(ordered(
+            [(1, "b"), (1, "b-again"), (0, "a"), (0, "a-again")], 2,
+            on_complete=lambda index, result: completions.append(result),
+        ))
+        assert results == ["a", "b"]
+        assert completions == ["b", "a"]
 
-    def test_claims_are_exclusive(self, tmp_path):
-        queue = FileWorkQueue(tmp_path)
-        queue.enqueue(0, "only")
-        assert queue.claim("w1") is not None
-        assert queue.claim("w2") is None
+    def test_stops_once_every_result_is_yielded(self):
+        def endless():
+            yield 0, "a"
+            raise AssertionError("consumed past the last result")
 
-    def test_abandoned_lease_is_reissued(self, tmp_path):
-        queue = FileWorkQueue(tmp_path)
-        queue.enqueue(0, "task")
-        queue.claim("dead-worker")
-        assert queue.claim("w2") is None  # still leased
-        time.sleep(0.05)
-        assert queue.reclaim_expired(lease_timeout=0.01) == [0]
-        index, payload, _ = queue.claim("w2")
-        assert (index, payload) == (0, "task")
-
-    def test_heartbeat_keeps_the_lease(self, tmp_path):
-        queue = FileWorkQueue(tmp_path)
-        queue.enqueue(0, "task")
-        _, _, lease = queue.claim("w1")
-        time.sleep(0.2)
-        queue.heartbeat(lease)
-        assert queue.reclaim_expired(lease_timeout=0.15) == []
-
-    def test_worker_id_must_be_lease_name_safe(self, tmp_path):
-        queue = FileWorkQueue(tmp_path)
-        with pytest.raises(ValueError, match="worker id"):
-            queue.claim("host.with.dots")
-
-    def test_run_worker_drains_queue_in_process(self, tmp_path):
-        queue = FileWorkQueue(tmp_path)
-        for index, item in enumerate([1, 2, 3]):
-            queue.enqueue(index, (_double, item))
-        assert run_worker(tmp_path, worker_id="t", poll_interval=0.01,
-                          max_tasks=3) == 3
-        results = queue.collect()
-        assert results == {0: ("ok", 2), 1: ("ok", 4), 2: ("ok", 6)}
-
-    def test_stop_prevents_draining_an_aborted_campaign(self, tmp_path):
-        # Stop is checked before claiming: leftover tasks of an aborted
-        # campaign must not be flown by the fleet.
-        queue = FileWorkQueue(tmp_path)
-        queue.enqueue(0, (_double, 1))
-        queue.enqueue(1, (_double, 2))
-        queue.request_stop()
-        assert run_worker(tmp_path, worker_id="t", poll_interval=0.01) == 0
-        assert queue.pending_count() == 2
-
-    def test_idle_worker_exits_when_coordinator_is_stale(self, tmp_path):
-        # A coordinator killed without cleanup never raises the stop
-        # sentinel; the worker must notice the stale heartbeat and exit
-        # rather than poll the abandoned queue forever.
-        queue = FileWorkQueue(tmp_path)
-        queue.touch_coordinator()
-        time.sleep(0.05)
-        completed = run_worker(
-            tmp_path, worker_id="t", poll_interval=0.01, orphan_timeout=0.01
-        )
-        assert completed == 0
-
-    def test_idle_worker_waits_on_manually_driven_queues(self, tmp_path):
-        # No coordinator heartbeat at all (queue driven by hand): the
-        # orphan guard must not apply — only stop ends the worker.
-        queue = FileWorkQueue(tmp_path)
-        queue.request_stop()
-        assert run_worker(
-            tmp_path, worker_id="t", poll_interval=0.01, orphan_timeout=0.01
-        ) == 0
-
-    def test_worker_ships_exceptions_as_data(self, tmp_path):
-        queue = FileWorkQueue(tmp_path)
-        queue.enqueue(0, (_boom, "it"))
-        run_worker(tmp_path, worker_id="t", poll_interval=0.01, max_tasks=1)
-        status, text = queue.collect()[0]
-        assert status == "error"
-        assert "RuntimeError" in text and "boom on 'it'" in text
-
-    def test_unimportable_payload_is_a_poison_pill_not_a_crash(self, tmp_path):
-        # A payload whose function cannot be resolved on the worker
-        # (PYTHONPATH mismatch) raises ModuleNotFoundError from
-        # pickle.loads; claiming must publish the failure, not die on it.
-        queue = FileWorkQueue(tmp_path)
-        (queue.tasks_dir / "00000000.run0.task").write_bytes(
-            b"cdefinitely_missing_module\nboom\n."  # GLOBAL opcode pickle
-        )
-        assert queue.claim("t") is None  # poisoned, not raised
-        status, text = queue.collect()[0]
-        assert status == "error"
-        assert "unreadable task payload" in text
-
-    def test_results_of_other_runs_are_ignored(self, tmp_path):
-        # A worker of a killed previous campaign finishing late answers
-        # under the old run id; the new coordinator must not collect it.
-        stale = FileWorkQueue(tmp_path, run_id="old")
-        stale.complete(0, ("ok", "stale"))
-        fresh = FileWorkQueue(tmp_path, run_id="new")
-        assert fresh.collect() == {}
-        fresh.enqueue(0, (_double, 5))
-        index, payload, lease = fresh.claim("w")
-        fresh.complete(index, ("ok", 10), lease)
-        assert fresh.collect() == {0: ("ok", 10)}
-
-    def test_reset_purges_stale_state_between_campaigns(self, tmp_path):
-        queue = FileWorkQueue(tmp_path)
-        queue.enqueue(0, "stale-task")
-        queue.complete(1, ("ok", "stale-result"))
-        queue.request_stop()
-        queue.reset()
-        assert queue.pending_count() == 0
-        assert queue.collect() == {}
-        assert not queue.stop_requested()
+        assert list(ordered(endless(), 1)) == ["a"]
 
 
 class TestDistributedBackend:
-    def test_validation(self, tmp_path):
+    def test_validation(self):
         with pytest.raises(ValueError, match="workers"):
             DistributedBackend(workers=-1)
-        with pytest.raises(ValueError, match="queue_dir"):
+        with pytest.raises(ValueError, match="fixed port"):
             DistributedBackend(workers=0)
         with pytest.raises(ValueError, match="lease_timeout"):
             DistributedBackend(lease_timeout=0.0)
         with pytest.raises(ValueError, match="poll_interval"):
             DistributedBackend(poll_interval=0.0)
-        DistributedBackend(workers=0, queue_dir=str(tmp_path))  # external fleet
+        DistributedBackend(workers=0, port=18768)  # external fleet
 
-    def test_explicit_auth_token_rejected_on_file_transport(self):
-        with pytest.raises(ValueError, match="auth_token applies"):
-            DistributedBackend(auth_token="pointless")
-
-    def test_env_auth_token_on_file_transport_warns(self, monkeypatch):
-        # A globally exported secret must not hard-fail unrelated file
-        # campaigns, but silently protecting nothing is not OK either.
+    def test_env_auth_token_protects_the_campaign(self, monkeypatch):
+        # One exported secret configures both ends: the coordinator picks
+        # it up and its spawned workers present it.
         monkeypatch.setenv("REPRO_CAMPAIGN_AUTH_TOKEN", "exported")
         backend = DistributedBackend(workers=1, lease_timeout=60.0,
                                      poll_interval=0.02)
-        with pytest.warns(RuntimeWarning, match="no authentication"):
-            assert list(backend.map(_double, [3])) == [6]
+        assert list(backend.map(_double, [3])) == [6]
+        assert backend.queue_stats["auth_denials"] == 0
 
     def test_empty_items(self):
         assert list(DistributedBackend(workers=1).map(_double, [])) == []
@@ -273,9 +164,11 @@ class TestDistributedBackend:
     def test_out_of_order_completion_yields_input_order(self, tmp_path):
         """An external worker completes 2, 0, 1; the coordinator reports each
         completion immediately but yields strictly in input order."""
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
         backend = DistributedBackend(
-            workers=0, queue_dir=str(tmp_path), poll_interval=0.01,
-            lease_timeout=60.0,
+            workers=0, port=port, poll_interval=0.01, lease_timeout=60.0,
         )
         completions = []
 
@@ -284,7 +177,7 @@ class TestDistributedBackend:
             (tmp_path / f"consumed-{index}").touch()  # gate for the worker
 
         def eccentric_worker():
-            queue = FileWorkQueue(tmp_path)
+            queue = HttpWorkQueueClient(f"http://127.0.0.1:{port}", timeout=5.0)
             claimed = {}
             deadline = time.time() + 10.0
             while len(claimed) < 3 and time.time() < deadline:
@@ -321,17 +214,6 @@ class TestDistributedBackend:
         results = list(backend.map(fn, ["a", "b", "c"]))
         assert results == ["aa", "bb", "cc"]
         assert (tmp_path / "a.attempted").exists()
-
-    def test_reused_queue_dir_does_not_serve_stale_results(self, tmp_path):
-        # The documented external-fleet workflow reuses one shared
-        # directory; a second campaign must not collect the first one's
-        # result files as its own outcomes.
-        backend = DistributedBackend(workers=1, queue_dir=str(tmp_path),
-                                     lease_timeout=60.0, poll_interval=0.02)
-        first = list(backend.map(_double, [1, 2, 3]))
-        assert first == [2, 4, 6]
-        second = list(backend.map(_triple, [1, 2, 3]))
-        assert second == [3, 6, 9]
 
     def test_remote_failure_raises_with_traceback(self):
         backend = DistributedBackend(workers=1, lease_timeout=60.0)
@@ -642,7 +524,7 @@ class TestSpecOverrideMatrix:
     def test_orphan_backend_options_still_rejected_with_cli_backend(self):
         # backend_options without a spec backend name stays a loud error
         # even when the backend comes from the command line — silently
-        # dropping the options (e.g. a shared queue_dir) would run the
+        # dropping the options (e.g. an external fleet's port) would run the
         # campaign somewhere else entirely.
         spec = {"runner": {"backend_options": {"workers": 7}}}
         with pytest.raises(ValueError, match="requires a 'backend' name"):
@@ -665,30 +547,11 @@ class TestSpecOverrideMatrix:
         with pytest.raises(ValueError, match="'record_arrays' requires"):
             build_runner({"runner": {"record_arrays": True}})
 
-    def test_spec_backend_options_select_transport(self):
-        spec = {"runner": {"backend": "distributed",
-                           "backend_options": {"transport": "socket",
-                                               "workers": 2}}}
-        runner = build_runner(spec)
-        assert isinstance(runner.backend, DistributedBackend)
-        assert runner.backend.transport == "socket"
-        assert runner.backend.workers == 2
-
-    def test_spec_transport_defaults_to_file(self):
-        runner = build_runner({"runner": {"backend": "distributed"}})
-        assert runner.backend.transport == "file"
-
     def test_spec_invalid_transport_is_a_clear_error(self):
+        # HTTP is the only transport: naming one at all is an error.
         spec = {"runner": {"backend": "distributed",
-                           "backend_options": {"transport": "telepathy"}}}
-        with pytest.raises(ValueError, match="transport"):
-            build_runner(spec)
-
-    def test_spec_socket_transport_rejects_queue_dir(self, tmp_path):
-        spec = {"runner": {"backend": "distributed",
-                           "backend_options": {"transport": "socket",
-                                               "queue_dir": str(tmp_path)}}}
-        with pytest.raises(ValueError, match="queue_dir applies"):
+                           "backend_options": {"transport": "http"}}}
+        with pytest.raises(TypeError, match="transport"):
             build_runner(spec)
 
     def test_spec_autoscale_options(self):
@@ -701,9 +564,10 @@ class TestSpecOverrideMatrix:
 
     def test_cli_backend_override_keeps_matching_transport_options(self):
         spec = {"runner": {"backend": "distributed",
-                           "backend_options": {"transport": "socket"}}}
+                           "backend_options": {"workers": 0, "port": 9100,
+                                               "host": "0.0.0.0"}}}
         runner = build_runner(spec, backend="distributed")
-        assert runner.backend.transport == "socket"
+        assert (runner.backend.host, runner.backend.port) == ("0.0.0.0", 9100)
 
     def test_seed_coercion_is_constructor_path_consistent(self):
         # "seed": 3.0 used to reach the FlightScenario constructor as a
@@ -768,3 +632,26 @@ class TestCliDistributedEndToEnd:
         # Forcing the serial backend must still complete (and not spawn
         # workers); the spec's distributed options are dropped.
         assert main([str(spec), "--backend", "serial"]) == 0
+
+    @pytest.mark.parametrize("option", [
+        {"transport": "file"},
+        {"queue_dir": "/shared/queue"},
+    ])
+    def test_queue_dir_or_transport_option_exits_2(self, tmp_path, capsys, option):
+        # Specs written for the shared-directory or TCP queues must fail
+        # loudly, not run somewhere else.
+        import json
+
+        from repro.campaign.__main__ import main
+
+        spec = {
+            "scenario": {"name": "dist-tiny", "duration": 0.4},
+            "axes": {"seed": [1]},
+            "runner": {"backend": "distributed", "backend_options": option},
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert next(iter(option)) in err

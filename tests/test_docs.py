@@ -71,7 +71,7 @@ class TestSpecBlocks:
         check_docs.check_spec_block(
             "toml",
             '[runner]\nbackend = "distributed"\n'
-            'backend_options = { transport = "telepathy" }\n',
+            'backend_options = { warp = "telepathy" }\n',
             "synthetic", errors,
         )
         assert len(errors) == 1
@@ -103,8 +103,8 @@ class TestConsoleBlocks:
     def test_known_worker_flags_pass(self):
         errors = []
         check_docs.ConsoleChecker().check(
-            "$ python -m repro.campaign.worker /q --lease-timeout 30\n"
-            "$ python -m repro.campaign.worker --connect host:9100",
+            "$ python -m repro.campaign.worker --connect-http "
+            "http://host:9100 --lease-timeout 30",
             "synthetic", errors,
         )
         assert errors == []

@@ -9,8 +9,8 @@ Layered like the package itself:
 * timing spans and per-run :class:`~repro.obs.SpanCollector` aggregation;
 * the JSONL :class:`~repro.obs.EventLog` (envelope, thread safety,
   never-raises writes) and the process-wide emit sink;
-* queue/transport instrumentation — ``stats_snapshot`` on both queue
-  flavours, ``status()`` hygiene (no lease tokens), auth-denial counting;
+* queue instrumentation — ``status()`` hygiene (no lease tokens),
+  operation and depth metrics, auth-denial counting;
 * the coordinator's live ``GET /metrics`` + ``GET /status`` endpoints,
   including the acceptance-criterion scrape of a campaign *while it is
   running*;
@@ -34,8 +34,8 @@ from repro import obs
 from repro.campaign import (
     CampaignRunner,
     DistributedBackend,
-    FileWorkQueue,
     HttpWorkQueue,
+    HttpWorkQueueClient,
     ScenarioGrid,
 )
 from repro.campaign.__main__ import main as campaign_main
@@ -332,14 +332,38 @@ def _double(item):
     return item * 2
 
 
-class TestFileQueueStats:
-    def test_snapshot_counts_this_instances_operations(self, tmp_path):
-        queue = FileWorkQueue(tmp_path, run_id="r")
-        queue.enqueue(0, "a")
-        queue.enqueue(1, "b")
-        index, _payload, lease = queue.claim("w1")
-        queue.complete(index, ("ok", 1), lease)
-        stats = queue.stats_snapshot()
+class TestNetworkQueueObservability:
+    def test_status_shape_and_token_hygiene(self):
+        token = "status-must-not-see-me"
+        with HttpWorkQueue(auth_token=token) as server:
+            server.add_run("robs")
+            server.enqueue_in("robs", 0, "a")
+            server.enqueue_in("robs", 1, "b")
+            client = HttpWorkQueueClient(server.url, auth_token=token,
+                                         timeout=5.0)
+            client.claim("w1")
+            status = server.status()
+        assert status["runs"]["robs"]["claimed"] == 1
+        assert status["auth"] is True
+        assert status["pending"] == 1
+        assert status["done"] == 0
+        assert status["stop"] is False
+        assert status["uptime_s"] >= 0
+        [claim] = status["claimed"]
+        assert claim["run"] == "robs"
+        assert claim["index"] == 0 and claim["worker"] == "w1"
+        assert claim["lease_age_s"] >= 0
+        assert token not in json.dumps(status)
+
+    def test_snapshot_counts_operations_and_depths(self):
+        with HttpWorkQueue() as server:
+            server.add_run("robs")
+            server.enqueue_in("robs", 0, "a")
+            server.enqueue_in("robs", 1, "b")
+            client = HttpWorkQueueClient(server.url, timeout=5.0)
+            index, _payload, lease = client.claim("w1")
+            client.complete(index, ("ok", 1), lease)
+            stats = server.stats_snapshot()
         assert stats["enqueued"] == 2
         assert stats["claims"] == 1
         assert stats["completions"] == 1
@@ -347,40 +371,19 @@ class TestFileQueueStats:
         assert stats["pending"] == 1
         assert stats["claimed"] == 0
 
-    def test_lease_reissue_is_counted(self, tmp_path):
-        queue = FileWorkQueue(tmp_path, run_id="r")
-        queue.enqueue(0, "a")
-        queue.claim("gone")
-        time.sleep(0.05)
-        assert queue.reclaim_expired(lease_timeout=0.01) == [0]
-        assert queue.stats_snapshot()["lease_reissues"] == 1
-
-
-class TestNetworkQueueObservability:
-    def test_status_shape_and_token_hygiene(self):
-        token = "status-must-not-see-me"
-        with HttpWorkQueue(run_id="robs", auth_token=token) as server:
-            server.enqueue(0, "a")
-            server.enqueue(1, "b")
-            from repro.campaign import HttpWorkQueueClient
-            client = HttpWorkQueueClient(server.url, auth_token=token,
-                                         timeout=5.0)
-            client.claim("w1")
-            status = server.status()
-        assert status["run"] == "robs"
-        assert status["auth"] is True
-        assert status["pending"] == 1
-        assert status["done"] == 0
-        assert status["stop"] is False
-        assert status["uptime_s"] >= 0
-        [claim] = status["claimed"]
-        assert claim["index"] == 0 and claim["worker"] == "w1"
-        assert claim["lease_age_s"] >= 0
-        assert token not in json.dumps(status)
+    def test_lease_reissue_is_counted(self):
+        with HttpWorkQueue() as server:
+            server.add_run("robs")
+            server.enqueue_in("robs", 0, "a")
+            assert server._claim_blob("gone") is not None
+            time.sleep(0.05)
+            assert server.reclaim_expired(lease_timeout=0.01) == [0]
+            assert server.stats_snapshot()["lease_reissues"] == 1
 
     def test_metrics_text_counts_operations_and_depths(self):
-        with HttpWorkQueue(run_id="robs") as server:
-            server.enqueue(0, "a")
+        with HttpWorkQueue() as server:
+            server.add_run("robs")
+            server.enqueue_in("robs", 0, "a")
             text = server.metrics_text()
         assert "# TYPE repro_queue_enqueued_total counter" in text
         assert "repro_queue_enqueued_total 1" in text
@@ -389,7 +392,7 @@ class TestNetworkQueueObservability:
         assert "repro_queue_auth_denials_total 0" in text
 
     def test_auth_denials_are_counted(self):
-        with HttpWorkQueue(run_id="robs", auth_token="sekrit-tok") as server:
+        with HttpWorkQueue(auth_token="sekrit-tok") as server:
             request = urllib.request.Request(
                 f"{server.url}/claim",
                 data=json.dumps({"worker": "w1"}).encode(), method="POST",
@@ -407,24 +410,26 @@ def _http_get(url: str, timeout: float = 5.0) -> tuple[str, str]:
 
 class TestCoordinatorEndpoints:
     def test_get_metrics_serves_prometheus_text(self):
-        with HttpWorkQueue(run_id="robs") as server:
-            server.enqueue(0, "a")
+        with HttpWorkQueue() as server:
+            server.add_run("robs")
+            server.enqueue_in("robs", 0, "a")
             body, content_type = _http_get(f"{server.url}/metrics")
         assert content_type.startswith("text/plain")
         assert "version=0.0.4" in content_type
         assert "repro_queue_pending 1" in body
 
     def test_get_status_serves_json(self):
-        with HttpWorkQueue(run_id="robs") as server:
+        with HttpWorkQueue() as server:
+            server.add_run("robs")
             body, content_type = _http_get(f"{server.url}/status")
         assert content_type.startswith("application/json")
-        assert json.loads(body)["run"] == "robs"
+        assert "robs" in json.loads(body)["runs"]
 
     def test_observability_endpoints_skip_auth(self):
         # Read-only surfaces stay scrapeable (like /ping) so a dashboard
         # or CI probe needs no secret — and the probe itself must not
         # pollute the denial counter it is checking.
-        with HttpWorkQueue(run_id="robs", auth_token="sekrit-tok") as server:
+        with HttpWorkQueue(auth_token="sekrit-tok") as server:
             metrics, _ = _http_get(f"{server.url}/metrics")
             status, _ = _http_get(f"{server.url}/status")
         assert "repro_queue_auth_denials_total 0" in metrics
@@ -441,7 +446,7 @@ class TestLiveCampaignScrape:
             port = probe.getsockname()[1]
         grid = ScenarioGrid(TINY, axes={"seed": [1, 2, 3]})
         backend = DistributedBackend(
-            workers=1, transport="http", port=port,
+            workers=1, port=port,
             lease_timeout=120.0, poll_interval=0.02,
             auth_token="live-scrape-secret",
         )

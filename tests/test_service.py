@@ -1,6 +1,6 @@
-"""Tests for the persistent multi-tenant campaign service.
+"""Tests for the campaign service, the one coordinator.
 
-Four layers, bottom up:
+Five layers, bottom up:
 
 * the multi-run queue state (run-id-namespaced pending/results, round-robin
   claims, cancellation and lease reclaim scoped to the owning run),
@@ -8,16 +8,25 @@ Four layers, bottom up:
 * the worker's reconnect backoff,
 * the daemon end-to-end: two concurrent campaigns on ONE daemon served by
   one shared fleet, results never crossing runs, cancellation leaving the
-  sibling untouched, and the daemon accepting new submissions afterwards.
+  sibling untouched, the daemon accepting new submissions afterwards, and
+  finished or deleted runs leaving no queue state behind,
+* the fleet: spawned workers (token via the environment), autoscaling, the
+  crash-loop guard and the dead-fleet check, driven through
+  :class:`~repro.campaign.DistributedBackend` and
+  :class:`~repro.campaign.ServiceBackend`.
 
 End-to-end tests run the worker loop in threads against the daemon's HTTP
 endpoint (``CampaignService(workers=0)``) so no subprocess spawn/interpreter
-start is paid per test; the subprocess fleet path is covered once.
+start is paid per test; the subprocess fleet path is covered by the fleet
+tests.
 """
 
 from __future__ import annotations
 
 import json
+import logging
+import os
+import subprocess
 import threading
 import time
 import urllib.error
@@ -28,6 +37,8 @@ import pytest
 from repro.campaign import (
     PROTOCOL_VERSION,
     CampaignRunner,
+    DistributedBackend,
+    GridVariant,
     HttpWorkQueue,
     HttpWorkQueueClient,
     ScenarioGrid,
@@ -57,6 +68,54 @@ def _double(value):
 def _nap(seconds):
     time.sleep(seconds)
     return seconds
+
+
+def _triple(value):
+    return 3 * value
+
+
+def _exit_hard(value):
+    os._exit(3)  # a worker killed mid-task: no heartbeat survives
+
+
+class _KillsWorkerOnUnpickle:
+    """An axis value that kills whichever other process unpickles it — a
+    campaign whose every task takes its worker down, while the serial
+    fallback (in this process) flies it normally."""
+
+    def __init__(self) -> None:
+        self.pid = os.getpid()
+
+    def __setstate__(self, state) -> None:
+        if state["pid"] != os.getpid():
+            os._exit(9)
+        self.__dict__.update(state)
+
+
+def _worker_killing_variants(name: str, seeds: int = 2) -> list:
+    poison = _KillsWorkerOnUnpickle()
+    return [
+        GridVariant(name=variant.name, axes=(*variant.axes, ("poison", poison)),
+                    scenario=variant.scenario)
+        for variant in _tiny_grid(name, seeds).variants()
+    ]
+
+
+def _run_in_thread(target, timeout: float):
+    """``target()``'s return value, or fail when it outlives ``timeout``
+    (a coordinator that never notices its dead fleet polls forever)."""
+    outcome: list = []
+    thread = threading.Thread(target=lambda: outcome.append(target()),
+                              daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"still running after {timeout:.0f} s"
+    [value] = outcome
+    return value
+
+
+def _pending(queue, run: str) -> int:
+    return queue.status()["runs"][run]["pending"]
 
 
 def _tiny_spec(name: str, seeds: int = 2) -> dict:
@@ -104,12 +163,10 @@ class TestMultiRunQueueState:
         queue.add_run("b")
         queue.enqueue_in("a", 0, "task-a")
         queue.enqueue_in("b", 0, "task-b")
-        queue.enqueue(0, "task-default")
-        assert queue.pending_count_in("a") == 1
-        assert queue.pending_count_in("b") == 1
-        # The classic single-run surface only sees the default run.
-        assert queue.pending_count() == 1
-        assert sorted(queue.run_ids()) == sorted([queue.run_id, "a", "b"])
+        queue.enqueue_in("b", 1, "task-b1")
+        assert _pending(queue, "a") == 1
+        assert _pending(queue, "b") == 2
+        assert queue.run_ids() == ["a", "b"]
 
     def test_duplicate_run_id_is_rejected(self, queue):
         queue.add_run("a")
@@ -148,13 +205,12 @@ class TestMultiRunQueueState:
         run = queue._runs["a"]
         run.results[0] = ("ok", "done-before-cancel")
         assert queue.cancel_run("a") is True
-        assert queue.run_cancelled("a")
-        assert queue.pending_count_in("a") == 0
+        assert queue.status()["runs"]["a"]["cancelled"] is True
+        assert _pending(queue, "a") == 0
         assert queue.collect_run("a") == {0: ("ok", "done-before-cancel")}
         # Cancelling again (or an unknown run) is a polite no-op.
         assert queue.cancel_run("a") is True
         assert queue.cancel_run("nope") is False
-        assert queue.run_cancelled("nope")  # unknown counts as cancelled
 
     def test_enqueue_into_cancelled_or_unknown_run_fails(self, queue):
         queue.add_run("a")
@@ -164,9 +220,17 @@ class TestMultiRunQueueState:
         with pytest.raises(KeyError):
             queue.enqueue_in("never-added", 0, "task")
 
-    def test_default_run_cannot_be_removed(self, queue):
-        with pytest.raises(ValueError):
-            queue.remove_run(queue.run_id)
+    def test_removed_run_frees_its_state_and_ignores_late_results(self, queue):
+        queue.add_run("a")
+        queue.enqueue_in("a", 0, "t0")
+        queue.enqueue_in("a", 1, "t1")
+        _, _, _, token = queue._claim_blob("w")
+        queue.remove_run("a")
+        assert queue.run_ids() == []
+        assert queue.status()["claimed"] == []
+        queue._complete(0, "a", ("ok", "late"), token)
+        assert queue.collect_run("a") == {}
+        assert queue.run_ids() == []
 
     def test_cancelled_runs_leases_are_dropped_not_reissued(self, queue):
         queue.add_run("a")
@@ -178,8 +242,8 @@ class TestMultiRunQueueState:
         queue.cancel_run("a")
         # Both leases are expired; only the surviving run's task returns.
         reissued = queue.reclaim_expired(lease_timeout=0.0)
-        assert queue.pending_count_in("b") == 1
-        assert queue.pending_count_in("a") == 0
+        assert _pending(queue, "b") == 1
+        assert _pending(queue, "a") == 0
         assert reissued == [0]  # b's task only; a's lease vanished with it
 
     def test_stop_is_transport_level_not_per_run(self, queue):
@@ -191,18 +255,20 @@ class TestMultiRunQueueState:
     def test_status_reports_per_run_state(self, queue):
         queue.add_run("a")
         queue.enqueue_in("a", 0, "task")
+        queue.add_run("b")
         status = queue.status()
         assert status["runs"]["a"]["pending"] == 1
-        assert status["runs"][queue.run_id]["pending"] == 0
+        assert status["runs"]["b"]["pending"] == 0
         # Top-level keys stay (CI and dashboards scrape them) as totals.
         assert status["pending"] == 1
-        assert status["mode"] == "campaign"
+        assert status["mode"] == "service"
         assert status["protocol"] == PROTOCOL_VERSION
 
     def test_per_run_metrics_labels(self, queue):
         queue.add_run("a")
+        queue.add_run("b")
         queue.enqueue_in("a", 0, "task")
-        queue.enqueue(0, "task")
+        queue.enqueue_in("b", 0, "task")
         text = queue.metrics_text()
         assert 'repro_run_pending{run="a"} 1' in text
         # The unlabeled counter is the cross-run total, same name as ever.
@@ -282,7 +348,7 @@ class TestProtocolHandshake:
         client = HttpWorkQueueClient(queue.url, timeout=5.0)
         body = client.ping()
         assert body["protocol"] == PROTOCOL_VERSION
-        assert body["mode"] == "campaign"
+        assert body["mode"] == "service"
         assert client.check_protocol() == body
 
     def test_version_skew_fails_fast_with_clear_message(self, queue):
@@ -329,10 +395,10 @@ class TestWorkerBackoff:
             assert _idle_delay(Dead(), 0.05, 8.0) <= 1.0
 
     def test_file_queues_never_back_off(self):
-        class FileLike:  # no consecutive_failures attribute
+        class InProcess:  # no consecutive_failures attribute
             pass
 
-        assert _idle_delay(FileLike(), 0.05, 10.0) == 0.05
+        assert _idle_delay(InProcess(), 0.05, 10.0) == 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +495,11 @@ class TestServiceEndToEnd:
         serial = CampaignRunner(mode="serial").run(_tiny_grid("svc-backend"))
         assert result.fallback_reason is None
         assert result.summaries() == serial.summaries()
-        # The backend's hosted run was cleaned up from the daemon queue.
+        # The backend's hosted run was cleaned up from the daemon queue; its
+        # registry record stays for post-mortem status queries.
         assert list(ServiceClient(service.url).list_runs())[0]["state"] in (
             "done", "cancelled")
+        assert service.queue.run_ids() == []
 
     def test_spec_validation_errors_are_client_errors(self, service):
         client = ServiceClient(service.url)
@@ -533,8 +601,11 @@ class TestServiceAuth:
 
 class TestServiceClientSurface:
     def test_check_service_rejects_plain_coordinators(self, queue):
-        # A single-campaign coordinator answers /ping but hosts no /runs
-        # API; submitting to it must fail with a pointer, not a 404 puzzle.
+        # An older single-campaign coordinator answers /ping with
+        # "service": false and hosts no /runs API; submitting to it must
+        # fail with a pointer, not a 404 puzzle.
+        queue.ping_info = lambda: {"ok": True, "protocol": PROTOCOL_VERSION,
+                                   "mode": "campaign", "service": False}
         client = ServiceClient(queue.url)
         with pytest.raises(ServiceError, match="not a campaign service"):
             client.check_service()
@@ -568,3 +639,202 @@ class TestServiceClientSurface:
         # grid serially on the daemon thread.
         assert not issubclass(RunCancelled, Exception)
         assert issubclass(RunCancelled, BaseException)
+
+
+# ---------------------------------------------------------------------------
+# Queue state is freed when a run ends
+# ---------------------------------------------------------------------------
+
+
+class TestRunStateIsFreed:
+    def test_service_backend_campaigns_leave_no_queue_state(self, service):
+        # ServiceBackend deletes its run after every campaign; the delete
+        # must free the run's queue state, results included.
+        for round_number in range(3):
+            done: list = []
+            thread = _worker_thread(service.url, max_tasks=4, done=done)
+            backend = ServiceBackend(url=service.url, poll_interval=0.02)
+            values = list(range(round_number, round_number + 4))
+            assert list(backend.map(_double, values)) == [2 * v for v in values]
+            thread.join(timeout=10.0)
+        assert service.queue.run_ids() == []
+        status = service.queue.status()
+        assert status["runs"] == {} and status["done"] == 0
+        # The registry keeps one post-mortem record per campaign.
+        assert len(ServiceClient(service.url).list_runs()) == 3
+
+    def test_delete_frees_a_finished_task_runs_results(self, service):
+        client = ServiceClient(service.url)
+        run_id = client.submit_tasks([(_double, 1)])
+        done: list = []
+        _worker_thread(service.url, max_tasks=1, done=done).join(timeout=10.0)
+        assert client.task_results(run_id) == ("done", {0: ("ok", 2)})
+        assert client.cancel(run_id) is False  # finished: nothing to cancel
+        assert service.queue.run_ids() == []
+        assert client.results(run_id)["results"] == {}
+        assert client.status(run_id)["state"] == "done"
+
+    def test_finished_spec_run_frees_queue_state_and_keeps_its_report(
+        self, service
+    ):
+        client = ServiceClient(service.url)
+        run_id = client.submit_spec(_tiny_spec("freed"))
+        done: list = []
+        thread = _worker_thread(service.url, max_tasks=2, done=done)
+        status = client.wait(run_id, timeout=60.0, poll_interval=0.05)
+        thread.join(timeout=10.0)
+        assert status["state"] == "done"
+        assert run_id not in service.queue.run_ids()
+        assert "queue" not in client.status(run_id)
+        assert client.results(run_id)["result"]["failures"] == 0
+
+
+class TestHostedRuns:
+    def test_each_map_call_gets_its_own_results(self, service):
+        # An adaptive search maps wave after wave over one hosted run: a
+        # later wave must never be answered with an earlier wave's results
+        # (both number their tasks from 0 as far as the runner knows).
+        backend = service.host_run(label="waves")
+        done: list = []
+        thread = _worker_thread(service.url, max_tasks=4, done=done)
+        assert list(backend.map(_double, [1, 2])) == [2, 4]
+        assert list(backend.map(_triple, [1, 2])) == [3, 6]
+        thread.join(timeout=10.0)
+        assert done == [4]
+
+    def test_cancelled_run_unwinds_instead_of_falling_back(self, service):
+        backend = service.host_run(label="doomed")
+        [run_id] = service.queue.run_ids()
+        iterator = backend.map(_double, [1])
+        service.cancel(run_id)
+        with pytest.raises(RunCancelled):
+            next(iterator)
+
+
+# ---------------------------------------------------------------------------
+# The fleet: spawn, autoscale, crash-loop guard, dead-fleet check
+# ---------------------------------------------------------------------------
+
+
+class TestAutoscaling:
+    def test_scales_up_from_zero_on_backlog(self):
+        backend = DistributedBackend(
+            workers=0, max_workers=2, lease_timeout=60.0, poll_interval=0.02,
+        )
+        assert list(backend.map(_double, [1, 2, 3])) == [2, 4, 6]
+        ups = [e for e in backend.scale_events if e["event"] == "scale-up"]
+        assert ups, "backlog must have triggered a scale-up"
+        assert ups[0]["workers"] == 2  # ceiling respected (backlog was 3)
+        assert ups[0]["backlog"] == 3
+        assert set(ups[0]) == {"event", "workers", "backlog", "elapsed"}
+
+    def test_idle_workers_retire_once_backlog_drains(self):
+        # Three workers spawn for four tasks; the long tail keeps exactly
+        # one busy, so the surplus receives retire credits, exits, and the
+        # shrink is recorded as a scale-down event.
+        backend = DistributedBackend(
+            workers=0, max_workers=3, lease_timeout=60.0, poll_interval=0.02,
+        )
+        results = list(backend.map(_nap, [0.0, 0.0, 0.0, 2.5]))
+        assert results == [0.0, 0.0, 0.0, 2.5]
+        events = [e["event"] for e in backend.scale_events]
+        assert "scale-up" in events
+        assert "scale-down" in events, backend.scale_events
+
+    def test_events_reset_between_campaigns(self):
+        backend = DistributedBackend(
+            workers=0, max_workers=2, lease_timeout=60.0, poll_interval=0.02,
+        )
+        list(backend.map(_double, [1]))
+        first = list(backend.scale_events)
+        list(backend.map(_double, [2]))
+        assert backend.scale_events, "second campaign records its own events"
+        assert backend.scale_events is not first
+
+    def test_crash_looping_fleet_is_not_respawned_forever(self):
+        backend = DistributedBackend(
+            workers=0, max_workers=1, lease_timeout=0.4, poll_interval=0.02,
+        )
+        with pytest.raises(RuntimeError, match="without progress"):
+            list(backend.map(_exit_hard, [1]))
+
+
+class TestFleet:
+    def test_spawned_fleet_token_travels_via_env_not_argv(self, monkeypatch):
+        # The service hands its token to spawned workers through the
+        # environment; the subprocess command line must never carry it.
+        recorded: list[tuple[list[str], dict]] = []
+        real_popen = subprocess.Popen
+
+        def spy(cmd, env=None, **kwargs):
+            recorded.append((cmd, env or {}))
+            return real_popen(cmd, env=env, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", spy)
+        backend = DistributedBackend(
+            workers=1, lease_timeout=60.0, poll_interval=0.02,
+            auth_token="argv-must-not-see-me",
+        )
+        assert list(backend.map(_double, [21])) == [42]
+        assert recorded, "a worker must have been spawned"
+        for cmd, env in recorded:
+            assert all("argv-must-not-see-me" not in part for part in cmd)
+            assert env.get(AUTH_TOKEN_ENV) == "argv-must-not-see-me"
+
+    def test_token_stays_out_of_repr_logs_and_scale_events(self, caplog):
+        backend = DistributedBackend(
+            workers=0, max_workers=2, lease_timeout=60.0, poll_interval=0.02,
+            auth_token="log-must-not-see-me",
+        )
+        with caplog.at_level(logging.DEBUG):
+            assert list(backend.map(_double, [1, 2])) == [2, 4]
+        assert "log-must-not-see-me" not in repr(backend)
+        assert "log-must-not-see-me" not in caplog.text
+        assert backend.scale_events, "autoscaler must have recorded events"
+        assert "log-must-not-see-me" not in json.dumps(backend.scale_events)
+
+    @pytest.mark.filterwarnings("ignore:campaign executor backend")
+    def test_dead_fleet_fails_the_run_and_service_backend_falls_back(self):
+        # Every task kills the worker that unpickles it.  The service must
+        # notice its spawned fleet is gone and fail the run; the client's
+        # runner then finishes serially with the reason recorded — instead
+        # of polling a run no worker will ever drain.
+        with CampaignService(workers=1, poll_interval=0.02,
+                             lease_timeout=60.0) as daemon:
+            backend = ServiceBackend(url=daemon.url, poll_interval=0.02)
+            variants = _worker_killing_variants("dead-service-fleet")
+            result = _run_in_thread(
+                lambda: CampaignRunner(backend=backend).run(variants), 60.0)
+            [record] = ServiceClient(daemon.url).list_runs()
+        assert "failed" in result.fallback_reason
+        assert result.failures() == () and len(result) == 2
+        assert record["state"] == "failed"
+        assert "workers exited" in record["error"]
+
+    @pytest.mark.filterwarnings("ignore:campaign executor backend")
+    def test_dead_fleet_fails_the_run_and_distributed_backend_falls_back(self):
+        backend = DistributedBackend(workers=1, lease_timeout=60.0,
+                                     poll_interval=0.02)
+        variants = _worker_killing_variants("dead-distributed-fleet")
+        result = _run_in_thread(
+            lambda: CampaignRunner(backend=backend).run(variants), 60.0)
+        assert "workers exited" in result.fallback_reason
+        assert result.failures() == () and len(result) == 2
+
+    def test_killed_fleet_fails_a_hosted_spec_run(self):
+        with CampaignService(workers=1, poll_interval=0.02,
+                             lease_timeout=60.0) as daemon:
+            deadline = time.monotonic() + 30.0
+            while not daemon._processes and time.monotonic() < deadline:
+                time.sleep(0.01)  # the housekeeper spawns the fleet
+            [worker] = daemon._processes
+            worker.kill()
+            worker.wait()
+            client = ServiceClient(daemon.url)
+            run_id = client.submit_spec(_tiny_spec("orphaned"))
+            status = client.wait(run_id, timeout=30.0, poll_interval=0.05)
+            assert status["state"] == "failed"
+            assert "workers exited" in status["error"]
+            daemon._runs[run_id].thread.join(timeout=10.0)
+            assert daemon.queue.run_ids() == []
+
