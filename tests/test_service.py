@@ -10,23 +10,21 @@ Five layers, bottom up:
   one shared fleet, results never crossing runs, cancellation leaving the
   sibling untouched, the daemon accepting new submissions afterwards, and
   finished or deleted runs leaving no queue state behind,
-* the fleet: spawned workers (token via the environment), autoscaling, the
-  crash-loop guard and the dead-fleet check, driven through
-  :class:`~repro.campaign.DistributedBackend` and
-  :class:`~repro.campaign.ServiceBackend`.
+* the dead-fleet check: a service whose spawned workers have all exited
+  fails its running runs, and :class:`~repro.campaign.DistributedBackend`
+  and :class:`~repro.campaign.ServiceBackend` fall back to serial.
 
 End-to-end tests run the worker loop in threads against the daemon's HTTP
 endpoint (``CampaignService(workers=0)``) so no subprocess spawn/interpreter
-start is paid per test; the subprocess fleet path is covered by the fleet
-tests.
+start is paid per test; the subprocess fleet path is covered by the
+dead-fleet tests and by ``tests/test_transport.py`` (spawn, autoscaling, the
+crash-loop guard).
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import os
-import subprocess
 import threading
 import time
 import urllib.error
@@ -72,10 +70,6 @@ def _nap(seconds):
 
 def _triple(value):
     return 3 * value
-
-
-def _exit_hard(value):
-    os._exit(3)  # a worker killed mid-task: no heartbeat survives
 
 
 class _KillsWorkerOnUnpickle:
@@ -712,87 +706,12 @@ class TestHostedRuns:
 
 
 # ---------------------------------------------------------------------------
-# The fleet: spawn, autoscale, crash-loop guard, dead-fleet check
+# The fleet's dead-fleet check (spawn, autoscaling and the crash-loop guard
+# are tested in tests/test_transport.py)
 # ---------------------------------------------------------------------------
 
 
-class TestAutoscaling:
-    def test_scales_up_from_zero_on_backlog(self):
-        backend = DistributedBackend(
-            workers=0, max_workers=2, lease_timeout=60.0, poll_interval=0.02,
-        )
-        assert list(backend.map(_double, [1, 2, 3])) == [2, 4, 6]
-        ups = [e for e in backend.scale_events if e["event"] == "scale-up"]
-        assert ups, "backlog must have triggered a scale-up"
-        assert ups[0]["workers"] == 2  # ceiling respected (backlog was 3)
-        assert ups[0]["backlog"] == 3
-        assert set(ups[0]) == {"event", "workers", "backlog", "elapsed"}
-
-    def test_idle_workers_retire_once_backlog_drains(self):
-        # Three workers spawn for four tasks; the long tail keeps exactly
-        # one busy, so the surplus receives retire credits, exits, and the
-        # shrink is recorded as a scale-down event.
-        backend = DistributedBackend(
-            workers=0, max_workers=3, lease_timeout=60.0, poll_interval=0.02,
-        )
-        results = list(backend.map(_nap, [0.0, 0.0, 0.0, 2.5]))
-        assert results == [0.0, 0.0, 0.0, 2.5]
-        events = [e["event"] for e in backend.scale_events]
-        assert "scale-up" in events
-        assert "scale-down" in events, backend.scale_events
-
-    def test_events_reset_between_campaigns(self):
-        backend = DistributedBackend(
-            workers=0, max_workers=2, lease_timeout=60.0, poll_interval=0.02,
-        )
-        list(backend.map(_double, [1]))
-        first = list(backend.scale_events)
-        list(backend.map(_double, [2]))
-        assert backend.scale_events, "second campaign records its own events"
-        assert backend.scale_events is not first
-
-    def test_crash_looping_fleet_is_not_respawned_forever(self):
-        backend = DistributedBackend(
-            workers=0, max_workers=1, lease_timeout=0.4, poll_interval=0.02,
-        )
-        with pytest.raises(RuntimeError, match="without progress"):
-            list(backend.map(_exit_hard, [1]))
-
-
 class TestFleet:
-    def test_spawned_fleet_token_travels_via_env_not_argv(self, monkeypatch):
-        # The service hands its token to spawned workers through the
-        # environment; the subprocess command line must never carry it.
-        recorded: list[tuple[list[str], dict]] = []
-        real_popen = subprocess.Popen
-
-        def spy(cmd, env=None, **kwargs):
-            recorded.append((cmd, env or {}))
-            return real_popen(cmd, env=env, **kwargs)
-
-        monkeypatch.setattr(subprocess, "Popen", spy)
-        backend = DistributedBackend(
-            workers=1, lease_timeout=60.0, poll_interval=0.02,
-            auth_token="argv-must-not-see-me",
-        )
-        assert list(backend.map(_double, [21])) == [42]
-        assert recorded, "a worker must have been spawned"
-        for cmd, env in recorded:
-            assert all("argv-must-not-see-me" not in part for part in cmd)
-            assert env.get(AUTH_TOKEN_ENV) == "argv-must-not-see-me"
-
-    def test_token_stays_out_of_repr_logs_and_scale_events(self, caplog):
-        backend = DistributedBackend(
-            workers=0, max_workers=2, lease_timeout=60.0, poll_interval=0.02,
-            auth_token="log-must-not-see-me",
-        )
-        with caplog.at_level(logging.DEBUG):
-            assert list(backend.map(_double, [1, 2])) == [2, 4]
-        assert "log-must-not-see-me" not in repr(backend)
-        assert "log-must-not-see-me" not in caplog.text
-        assert backend.scale_events, "autoscaler must have recorded events"
-        assert "log-must-not-see-me" not in json.dumps(backend.scale_events)
-
     @pytest.mark.filterwarnings("ignore:campaign executor backend")
     def test_dead_fleet_fails_the_run_and_service_backend_falls_back(self):
         # Every task kills the worker that unpickles it.  The service must
