@@ -60,14 +60,13 @@ def ordered(
 
     ``on_complete`` fires the moment each pair arrives, so the runner can
     persist a flight that finished while an earlier one is still running.
-    A repeated index (a re-issued lease completed twice) is ignored.  The
-    loop stops as soon as all ``total`` results have been yielded.
+    Each index must arrive once: the polling callers drop a re-issued
+    lease's second answer themselves.  The loop stops as soon as all
+    ``total`` results have been yielded.
     """
     ready: dict[int, Any] = {}
     next_index = 0
     for index, result in completions:
-        if index < next_index or index in ready:
-            continue
         if on_complete is not None:
             on_complete(index, result)
         ready[index] = result

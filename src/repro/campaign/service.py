@@ -33,12 +33,14 @@ Three kinds of run share the registry:
 
 The fleet is the service's too.  The housekeeping thread re-issues expired
 leases, reaps exited workers, autoscales the local fleet (``max_workers``:
-spawn on backlog, retire idle workers through retire credits), stops
-respawning a fleet that keeps dying without progress, and fails every
-running run once all spawned workers are dead with work outstanding — so a
-dead fleet ends runs loudly instead of leaving their tenants polling.
-Cancelling or draining one run never raises the transport stop sentinel;
-only daemon shutdown sends the fleet home.
+spawn on backlog, retire idle workers through retire credits) and stops
+respawning a fleet that keeps dying without progress.  Once every spawned
+worker of a fixed fleet is dead and no other worker has claimed or
+heartbeated within the lease timeout, the fleet is *dead*: every running
+run with work outstanding fails, and new submissions are refused (HTTP
+503) until a worker attaches — so a dead fleet ends runs loudly instead of
+leaving their tenants polling.  Cancelling or draining one run never raises
+the transport stop sentinel; only daemon shutdown sends the fleet home.
 
 The trust model is the work queue's: task payloads and results are pickled,
 so expose the port only to clients you would also hand a pickle file to,
@@ -70,6 +72,7 @@ from ..obs import (
 )
 from .backends import ordered, unwrap
 from .transport import HttpWorkQueue, _decode, _encode
+from .worker import default_worker_id
 from .workqueue import AUTH_TOKEN_ENV, resolve_auth_tokens, validate_run_id
 
 logger = logging.getLogger(__name__)
@@ -253,6 +256,8 @@ class CampaignService:
         #: ``backlog`` and ``elapsed`` [s] since the service started.
         self.scale_events: list[dict[str, Any]] = []
         self._spawned = 0
+        #: Lease labels of every worker this service spawned, dead or alive.
+        self._local_ids: set[str] = set()
         self._alive_reported: int | None = None
         # Crash-loop guard: respawn waves that start from an all-dead fleet
         # must make progress, or we are re-spawning workers into the same
@@ -370,6 +375,14 @@ class CampaignService:
         except ValueError as exc:
             return 400, {"ok": False, "error": str(exc)}
         label = str(request.get("label") or "")
+        if self._fleet_dead():
+            return 503, {
+                "ok": False,
+                "error": f"no live worker: all {self._spawned} spawned "
+                         "workers exited and no other worker is attached "
+                         "(attach one with python -m repro.campaign.worker "
+                         "--connect-http URL, or restart the service)",
+            }
         if spec is not None:
             return self._submit_spec(str(run_id), spec, label)
         return self._submit_tasks(str(run_id), tasks, label)
@@ -637,7 +650,7 @@ class CampaignService:
         ).inc()
         emit("worker-spawn", "campaign.service")
         self._spawned += 1
-        return subprocess.Popen(
+        proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.campaign.worker",
                 "--connect-http", self.queue.url,
@@ -646,6 +659,18 @@ class CampaignService:
             ],
             env=env,
         )
+        self._local_ids.add(default_worker_id(proc.pid))
+        return proc
+
+    def _fleet_dead(self) -> bool:
+        """A fixed fleet is dead once every worker it spawned has exited
+        and no other worker (an external one on the same port) claimed or
+        heartbeated within the lease timeout.  An autoscaled fleet is never
+        dead: it respawns, and the crash-loop guard ends that instead."""
+        if self.max_workers is not None or not self._spawned or self._processes:
+            return False
+        attached = self.queue.workers_seen(self.lease_timeout)
+        return not attached - self._local_ids
 
     def _reap(self) -> None:
         deadline = time.time() + max(2.0, 8 * self.poll_interval)
@@ -667,14 +692,13 @@ class CampaignService:
         alive_before = len(self._processes)
         backlog, outstanding = self.queue.backlog()
         if self.max_workers is None:
-            if self._spawned and not alive_before and outstanding:
-                # Every worker this service spawned is gone.  External
-                # workers could still drain the queue, but with spawned
-                # workers dead the far likelier outcome is a hang — fail
-                # loudly and let each run's driver fall back.
+            if outstanding and self._fleet_dead():
+                # No worker will ever drain the queue: fail loudly and let
+                # each run's driver fall back instead of polling forever.
                 self._fail_runs(
                     f"all {self._spawned} spawned workers exited with "
-                    f"{outstanding} task(s) outstanding"
+                    f"{outstanding} task(s) outstanding and no other "
+                    "worker attached"
                 )
             return
         # Scale up: while tasks are pending and the fleet is below the

@@ -395,6 +395,8 @@ class HttpWorkQueue:
         self._stop = False
         self._retire_credits = 0
         self._started = time.time()
+        #: Worker id -> time of its last claim or heartbeat.
+        self._contacts: dict[str, float] = {}
         #: High-water mark of the pending depth summed over every run.
         self.pending_peak = 0
         # Every operation of every worker flows through this server, so
@@ -589,10 +591,15 @@ class HttpWorkQueue:
     def reclaim_expired(self, lease_timeout: float) -> list[int]:
         """Re-queue claimed tasks whose heartbeat is older than the lease;
         returns their indices.  A worker that is merely slow (not dead)
-        keeps running and publishes a duplicate — equally valid — result."""
+        keeps running and publishes a duplicate — equally valid — result.
+        Workers not heard from within the lease are forgotten too (see
+        :meth:`workers_seen`)."""
         now = time.time()
         reclaimed: list[int] = []
         with self._lock:
+            for worker, seen in list(self._contacts.items()):
+                if now - seen > lease_timeout:
+                    del self._contacts[worker]
             for token, claim in list(self._claims.items()):
                 if now - claim.last_beat <= lease_timeout:
                     continue
@@ -605,6 +612,13 @@ class HttpWorkQueue:
             self._m_reissues.inc()
             logger.warning("lease on task %d expired; re-queued", index)
         return reclaimed
+
+    def workers_seen(self, within: float) -> set[str]:
+        """Ids of the workers that claimed or heartbeated in the last
+        ``within`` seconds."""
+        cutoff = time.time() - within
+        with self._lock:
+            return {w for w, seen in self._contacts.items() if seen >= cutoff}
 
     def request_stop(self) -> None:
         """Raise the *transport-level* shutdown sentinel: this coordinator
@@ -730,6 +744,7 @@ class HttpWorkQueue:
 
     def _claim_blob(self, worker_id: str) -> tuple[str, int, bytes, str] | None:
         with self._lock:
+            self._contacts[worker_id] = time.time()
             # Round-robin across hosted runs so one worker fleet starves no
             # tenant, lowest index first within the chosen run.  Sorting by
             # run id keeps the rotation order stable between claims.
@@ -860,6 +875,7 @@ class HttpWorkQueue:
                 claim = self._claims.get(str(request.get("lease", "")))
                 if claim is not None:
                     claim.last_beat = time.time()
+                    self._contacts[claim.worker_id] = claim.last_beat
             self._m_heartbeats.inc()
             return {"ok": True}
         if op == "complete":

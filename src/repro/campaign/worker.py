@@ -49,7 +49,13 @@ from .workqueue import (
     resolve_auth_token,
 )
 
-__all__ = ["main", "run_worker"]
+__all__ = ["default_worker_id", "main", "run_worker"]
+
+
+def default_worker_id(pid: int | None = None) -> str:
+    """Lease label of a worker started without ``--worker-id``: ``w<pid>``
+    (of this process unless ``pid`` names another)."""
+    return f"w{os.getpid() if pid is None else pid}"
 
 
 def _idle_delay(
@@ -151,7 +157,7 @@ def run_worker(
             connect_http, auth_token=resolve_auth_token(auth_token)
         )
     if worker_id is None:
-        worker_id = f"w{os.getpid()}"
+        worker_id = default_worker_id()
     if orphan_timeout is None:
         orphan_timeout = 4.0 * lease_timeout
     check_protocol = getattr(queue, "check_protocol", None)
@@ -240,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.metrics_jsonl is not None:
         event_log = EventLog(
             args.metrics_jsonl,
-            run_id=args.worker_id or f"w{os.getpid()}",
+            run_id=args.worker_id or default_worker_id(),
         )
         set_event_log(event_log)
     try:

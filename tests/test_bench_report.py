@@ -80,9 +80,16 @@ class TestWriteBenchJson:
 
 class TestExistingBenchRecords:
     def test_checked_in_records_conform(self, bench):
-        """Any BENCH_*.json already in benchmarks/results must validate."""
-        results = _CONFTEST.parent / "results"
-        for path in sorted(results.glob("BENCH_*.json")) if results.exists() else []:
+        """Every BENCH_*.json on disk must validate: the records the
+        benchmarks write to ``benchmarks/out/`` (a full run collects
+        ``benchmarks/`` before ``tests/``) and any kept under ``results/``."""
+        paths = [
+            path
+            for directory in (bench.PERF_DIR, bench.RESULTS_DIR)
+            if directory.exists()
+            for path in sorted(directory.glob("BENCH_*.json"))
+        ]
+        for path in paths:
             record = json.loads(path.read_text())
             assert record["schema"] == bench.BENCH_SCHEMA, path.name
             assert record["bench"] == path.stem[len("BENCH_"):], path.name

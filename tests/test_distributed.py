@@ -119,16 +119,6 @@ class TestOrdered:
         assert results == ["a", "b", "c"]
         assert completions == [2, 0, 1]
 
-    def test_repeated_index_is_ignored(self):
-        # A re-issued lease completed twice must not be reported twice.
-        completions = []
-        results = list(ordered(
-            [(1, "b"), (1, "b-again"), (0, "a"), (0, "a-again")], 2,
-            on_complete=lambda index, result: completions.append(result),
-        ))
-        assert results == ["a", "b"]
-        assert completions == ["b", "a"]
-
     def test_stops_once_every_result_is_yielded(self):
         def endless():
             yield 0, "a"

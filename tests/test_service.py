@@ -108,6 +108,14 @@ def _run_in_thread(target, timeout: float):
     return value
 
 
+def _wait_until(condition, timeout: float = 30.0):
+    """Poll ``condition()`` until it is truthy; returns its last value."""
+    deadline = time.monotonic() + timeout
+    while not (value := condition()) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return value
+
+
 def _pending(queue, run: str) -> int:
     return queue.status()["runs"][run]["pending"]
 
@@ -741,19 +749,51 @@ class TestFleet:
         assert result.failures() == () and len(result) == 2
 
     def test_killed_fleet_fails_a_hosted_spec_run(self):
+        # The only worker is killed mid-flight: the spec run ends failed
+        # and frees its queue state, the dead daemon refuses the next
+        # submission outright, and takes runs again once a worker attaches.
         with CampaignService(workers=1, poll_interval=0.02,
                              lease_timeout=60.0) as daemon:
-            deadline = time.monotonic() + 30.0
-            while not daemon._processes and time.monotonic() < deadline:
-                time.sleep(0.01)  # the housekeeper spawns the fleet
+            client = ServiceClient(daemon.url)
+            slow = _tiny_spec("orphaned")
+            slow["scenario"]["duration"] = 5.0
+            run_id = client.submit_spec(slow)
+            assert _wait_until(lambda: daemon.queue.status()["claimed"])
             [worker] = daemon._processes
             worker.kill()
             worker.wait()
-            client = ServiceClient(daemon.url)
-            run_id = client.submit_spec(_tiny_spec("orphaned"))
             status = client.wait(run_id, timeout=30.0, poll_interval=0.05)
             assert status["state"] == "failed"
             assert "workers exited" in status["error"]
             daemon._runs[run_id].thread.join(timeout=10.0)
             assert daemon.queue.run_ids() == []
+            with pytest.raises(ServiceError, match="no live worker"):
+                client.submit_tasks([(_double, 1)])
+            done: list = []
+            thread = _worker_thread(daemon.url, max_tasks=1, done=done)
+            assert _wait_until(lambda: not daemon._fleet_dead())
+            backend = ServiceBackend(url=daemon.url, poll_interval=0.02)
+            assert list(backend.map(_double, [21])) == [42]
+            thread.join(timeout=10.0)
+            assert done == [1]
+
+    def test_external_worker_keeps_serving_after_the_spawned_fleet_dies(self):
+        # A daemon's local and external workers are one fleet: with the
+        # spawned worker dead, an attached external worker still drains
+        # new runs, so none of them is failed.
+        with CampaignService(workers=1, poll_interval=0.02,
+                             lease_timeout=60.0) as daemon:
+            done: list = []
+            thread = _worker_thread(daemon.url, max_tasks=3, done=done)
+            assert _wait_until(lambda: daemon._processes)
+            [worker] = daemon._processes
+            worker.kill()
+            worker.wait()
+            assert _wait_until(lambda: not daemon._processes)
+            backend = ServiceBackend(url=daemon.url, poll_interval=0.02)
+            assert list(backend.map(_double, [1, 2, 3])) == [2, 4, 6]
+            [record] = ServiceClient(daemon.url).list_runs()
+            thread.join(timeout=10.0)
+        assert record["state"] == "done"
+        assert done == [3]
 

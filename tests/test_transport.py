@@ -1,37 +1,47 @@
-"""Tests for the JSON-lines-over-TCP work-queue transport and autoscaling.
+"""Tests for the campaign fleet over TCP: workers on one end of a real
+socket, a coordinator's HTTP port on the other.
 
-Mirrors the layering of ``tests/test_distributed.py`` for the socket
-transport:
+``tests/test_transport_http.py`` covers the queue primitives on a bare
+:class:`~repro.campaign.transport.HttpWorkQueue` with in-process clients.
+This module covers the shapes a fleet actually runs in:
 
-* :class:`~repro.campaign.transport.SocketWorkQueue` /
-  :class:`~repro.campaign.transport.SocketWorkQueueClient` primitives over a
-  real TCP server — exclusive claims, heartbeat leases, run namespacing,
-  retire credits;
-* the failure modes the ISSUE names: a worker whose TCP connection dies
-  mid-flight triggers lease re-issue, and a coordinator *restart* on the
-  same port is survived by live workers;
-* :class:`~repro.campaign.DistributedBackend` with ``transport="socket"``
-  end-to-end over real subprocess workers, plus the autoscaler (spawn on
-  backlog, retire idle, crash-loop guard) on both transports.
+* the address a coordinator publishes and the URL forms a worker accepts;
+* authentication on a :class:`~repro.campaign.service.CampaignService`'s
+  port, the worker CLI's exit on a rejected token, and the token's route
+  to spawned workers (the environment — never argv, logs or scale events);
+* the worker CLI in its own process: draining, shipping exceptions,
+  leaving an unreachable coordinator, surviving a coordinator restart;
+* :class:`~repro.campaign.DistributedBackend` with spawned and external
+  fleets, and the service's autoscaler (spawn on backlog, retire idle
+  workers, crash-loop guard).
 
-The expensive acceptance run (12 real flights over TCP == serial) lives in
-``benchmarks/test_distributed_backend.py``.
+The expensive acceptance run (12 real flights over authenticated HTTP ==
+serial) lives in ``benchmarks/test_distributed_backend.py``.
 """
 
-import threading
+import json
+import logging
+import os
+import socket
+import subprocess
+import sys
 import time
 
 import pytest
 
 from repro.campaign import (
     DistributedBackend,
-    SocketWorkQueue,
-    SocketWorkQueueClient,
+    HttpWorkQueue,
+    HttpWorkQueueClient,
+    ServiceBackend,
     WorkQueueAuthError,
 )
-from repro.campaign.transport import parse_address
+from repro.campaign.service import CampaignService
+from repro.campaign.transport import parse_http_url
 from repro.campaign.worker import main as worker_main, run_worker
-from repro.campaign.workqueue import WorkQueue
+from repro.campaign.workqueue import AUTH_TOKEN_ENV
+
+RUN = "rtest"
 
 
 # -- picklable worker functions (module-level so queue workers can import them) --
@@ -46,8 +56,6 @@ def _boom(item):
 
 
 def _exit_hard(item):
-    import os
-
     os._exit(3)  # worker killed mid-task: no heartbeat survives
 
 
@@ -58,260 +66,178 @@ def _sleepy(item):
 
 @pytest.fixture
 def queue():
-    with SocketWorkQueue(run_id="rtest") as server:
+    with HttpWorkQueue() as server:
+        server.add_run(RUN)
         yield server
 
 
-def client_for(server: SocketWorkQueue) -> SocketWorkQueueClient:
-    return SocketWorkQueueClient(*server.address, timeout=5.0)
+def _free_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def _worker_cli(url: str, *args: str, env: dict | None = None) -> subprocess.Popen:
+    """Start ``python -m repro.campaign.worker`` attached to ``url`` — the
+    command an external fleet runs.  Task payloads name functions of this
+    module, so the worker gets this process's import path."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(entry for entry in sys.path if entry)
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.campaign.worker",
+         "--connect-http", url, "--poll", "0.02", *args],
+        env=env, stderr=subprocess.PIPE, text=True,
+    )
+
+
+@pytest.fixture
+def worker_processes():
+    """Worker processes a test starts; any still running at teardown (a
+    failed assertion) are killed so none outlives the test."""
+    started: list[subprocess.Popen] = []
+    yield started
+    for proc in started:
+        if proc.poll() is None:
+            proc.kill()
+        proc.communicate()
+
+
+def _wait_for_results(server: HttpWorkQueue, run: str, count: int) -> dict:
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        results = server.collect_run(run)
+        if len(results) >= count:
+            return results
+        time.sleep(0.01)
+    return server.collect_run(run)
 
 
 class TestParseAddress:
+    """The address a coordinator publishes and the URL forms a worker
+    accepts."""
+
     def test_host_port(self):
-        assert parse_address("example.org:9000") == ("example.org", 9000)
+        # The coordinator publishes host and bound port; the URL built from
+        # them is one a worker accepts and reaches the coordinator under.
+        with CampaignService(workers=0) as daemon:
+            host, port = daemon.address
+            assert host == "127.0.0.1" and port > 0
+            assert daemon.url == f"http://127.0.0.1:{port}"
+            assert parse_http_url(daemon.url) == daemon.url
+            assert HttpWorkQueueClient(daemon.url, timeout=5.0).ping() is not None
 
     def test_bracketed_ipv6(self):
-        assert parse_address("[::1]:9000") == ("::1", 9000)
-
-    def test_missing_port_rejected(self):
-        with pytest.raises(ValueError, match="host:port"):
-            parse_address("example.org")
+        assert parse_http_url("http://[::1]:9000") == "http://[::1]:9000"
 
     def test_non_numeric_port_rejected(self):
-        with pytest.raises(ValueError, match="non-numeric"):
-            parse_address("example.org:http")
-
-
-class TestSocketWorkQueuePrimitives:
-    def test_satisfies_the_workqueue_protocol(self, queue):
-        assert isinstance(queue, WorkQueue)
-        assert isinstance(client_for(queue), WorkQueue)
-
-    def test_enqueue_claim_complete_roundtrip_over_tcp(self, queue):
-        for index, payload in enumerate(["x", "y"]):
-            queue.enqueue(index, payload)
-        assert queue.pending_count() == 2
-
-        client = client_for(queue)
-        index, payload, lease = client.claim("w1")
-        assert (index, payload) == (0, "x")  # lowest index first
-        client.complete(index, ("ok", "done"), lease)
-        assert queue.collect() == {0: ("ok", "done")}
-        assert queue.collect(seen={0}) == {}
-        assert queue.pending_count() == 1
-
-    def test_claims_are_exclusive(self, queue):
-        queue.enqueue(0, "only")
-        assert client_for(queue).claim("w1") is not None
-        assert client_for(queue).claim("w2") is None
-
-    def test_disconnected_worker_lease_is_reissued(self, queue):
-        # The mid-flight TCP disconnect: a client claims a task and then
-        # vanishes (no heartbeat ever arrives — a dropped connection and a
-        # dead worker are indistinguishable on purpose).  The lease expires
-        # and another worker gets the task.
-        queue.enqueue(0, "task")
-        assert client_for(queue).claim("gone") is not None
-        assert client_for(queue).claim("w2") is None  # still leased
-        time.sleep(0.05)
-        assert queue.reclaim_expired(lease_timeout=0.01) == [0]
-        index, payload, _ = client_for(queue).claim("w2")
-        assert (index, payload) == (0, "task")
-
-    def test_heartbeat_keeps_the_lease(self, queue):
-        queue.enqueue(0, "task")
-        client = client_for(queue)
-        _, _, lease = client.claim("w1")
-        time.sleep(0.2)
-        client.heartbeat(lease)
-        assert queue.reclaim_expired(lease_timeout=0.15) == []
-
-    def test_results_of_other_runs_are_ignored(self, queue):
-        # A lease claimed from a previous coordinator carries the old run
-        # id; a new coordinator on the same port must not collect its
-        # result (the lease token is unknown there too).
-        queue.enqueue(0, "old-task")
-        client = client_for(queue)
-        index, _, old_lease = client.claim("w1")
-
-        with SocketWorkQueue(run_id="rnew") as successor:
-            heir = client_for(successor)
-            # Answering the *old* coordinator's task to the *new* one: the
-            # result must be dropped, not collected as rnew's outcome.
-            heir.complete(index, ("ok", "stale"), old_lease)
-            assert successor.collect() == {}
-            successor.enqueue(0, _double)
-            fresh_index, _, fresh_lease = heir.claim("w2")
-            heir.complete(fresh_index, ("ok", 10), fresh_lease)
-            assert successor.collect() == {0: ("ok", 10)}
-
-    def test_reset_purges_state(self, queue):
-        queue.enqueue(0, "stale")
-        queue.complete(1, ("ok", "stale-result"))
-        queue.request_stop()
-        queue.set_retire_credits(3)
-        queue.reset()
-        assert queue.pending_count() == 0
-        assert queue.collect() == {}
-        assert not queue.stop_requested()
-        assert not queue.try_retire()
-
-    def test_stop_travels_over_the_wire(self, queue):
-        client = client_for(queue)
-        assert client.stop_requested() is False
-        queue.request_stop()
-        assert client.stop_requested() is True
-
-    def test_each_retire_credit_dismisses_exactly_one_worker(self, queue):
-        queue.set_retire_credits(2)
-        client = client_for(queue)
-        assert client.try_retire() is True
-        assert client.try_retire() is True
-        assert client.try_retire() is False
-
-    def test_retire_credits_are_set_not_added(self, queue):
-        queue.set_retire_credits(5)
-        queue.set_retire_credits(1)  # autoscaler re-derives the surplus
-        client = client_for(queue)
-        assert client.try_retire() is True
-        assert client.try_retire() is False
-
-    def test_unreadable_payload_is_a_poison_pill_not_a_crash(self, queue):
-        # A payload whose module is not importable on the worker raises
-        # from pickle.loads at claim time; the client must ship the failure
-        # back and keep going, not crash-loop over it.
-        with queue._lock:
-            run = queue._runs[queue.run_id]
-            run.pending[0] = b"cdefinitely_missing_module\nboom\n."
-        assert client_for(queue).claim("w1") is None
-        status, text = queue.collect()[0]
-        assert status == "error"
-        assert "unreadable task payload" in text
-
-    def test_unpicklable_payload_fails_loudly_in_the_coordinator(self, queue):
-        with pytest.raises(Exception):
-            queue.enqueue(0, lambda x: x)  # locals never pickle
-
-    def test_undecodable_result_requeues_the_task(self, queue):
-        # A result blob the coordinator cannot decode must not take the
-        # task down with it: the claim is rolled back into the pending set
-        # and another worker re-flies it (releasing the lease alone would
-        # strand the task — reclaim_expired only scans live claims).
-        queue.enqueue(0, "task")
-        client = client_for(queue)
-        index, _, lease = client.claim("w1")
-        assert queue.pending_count() == 0
-        response = client._request({
-            "op": "complete", "index": index, "run": lease.run,
-            "lease": lease.token, "result": "!!!not-a-pickle!!!",
-        })
-        assert response is None  # server answered ok: false
-        assert queue.collect() == {}
-        assert queue.pending_count() == 1  # task is claimable again
-        assert client.claim("w2") is not None
-
-    def test_client_degrades_when_coordinator_is_unreachable(self):
-        server = SocketWorkQueue()
-        client = client_for(server)
-        assert client.coordinator_age() < 1.0
-        server.close()
-        time.sleep(0.05)
-        assert client.claim("w1") is None
-        assert client.stop_requested() is False
-        assert client.try_retire() is False
-        assert client.coordinator_age() > 0.0
+        with pytest.raises(ValueError, match="non-numeric port"):
+            parse_http_url("http://example.org:http")
 
 
 class TestSocketAuthentication:
-    """Shared-secret auth on the TCP transport: unauthenticated requests
-    are rejected with a *distinct* error (never the silent degrade that
-    keeps a worker polling), and the token stays out of every output."""
+    """The shared secret on a campaign service's port, as a fleet meets it:
+    worker processes holding the secret in their environment, with a
+    missing or a wrong one, and the service's spawned fleet.  Rejections
+    are *distinct* (never the silent degrade that keeps a worker polling),
+    and the token stays out of every output."""
 
     TOKEN = "socket-test-secret"
 
     @pytest.fixture
-    def auth_queue(self):
-        with SocketWorkQueue(run_id="rauth", auth_token=self.TOKEN) as server:
-            server.enqueue(0, "guarded")
-            yield server
+    def service(self):
+        with CampaignService(workers=0, auth_tokens=(self.TOKEN,)) as daemon:
+            daemon.queue.add_run(RUN)
+            daemon.queue.enqueue_in(RUN, 0, (_double, 21))
+            yield daemon
 
-    def test_matching_token_claims_normally(self, auth_queue):
-        client = SocketWorkQueueClient(
-            *auth_queue.address, timeout=5.0, auth_token=self.TOKEN
-        )
-        index, payload, lease = client.claim("w1")
-        assert (index, payload) == (0, "guarded")
-        client.complete(index, ("ok", "done"), lease)
-        assert auth_queue.collect() == {0: ("ok", "done")}
+    @staticmethod
+    def _env(token: str | None) -> dict:
+        """This process's environment with ``token`` as the only secret."""
+        env = {k: v for k, v in os.environ.items() if k != AUTH_TOKEN_ENV}
+        if token is not None:
+            env[AUTH_TOKEN_ENV] = token
+        return env
 
-    def test_missing_token_is_rejected_distinctly(self, auth_queue):
-        client = SocketWorkQueueClient(*auth_queue.address, timeout=5.0)
-        with pytest.raises(WorkQueueAuthError, match="none was supplied"):
-            client.claim("w1")
-        assert auth_queue.pending_count() == 1  # nothing was leased
+    def test_matching_token_claims_normally(self, service, worker_processes):
+        # A worker process with the secret in its environment drains the
+        # service's queue, and nothing is denied on the way.
+        worker = _worker_cli(service.url, "--max-tasks", "1",
+                             env=self._env(self.TOKEN))
+        worker_processes.append(worker)
+        _, err = worker.communicate(timeout=60.0)
+        assert worker.returncode == 0, err
+        assert service.queue.collect_run(RUN) == {0: ("ok", 42)}
+        assert service.queue.stats_snapshot()["auth_denials"] == 0
 
-    def test_wrong_token_is_rejected_distinctly(self, auth_queue):
-        client = SocketWorkQueueClient(
-            *auth_queue.address, timeout=5.0, auth_token="not-the-secret"
-        )
+    def test_missing_token_is_rejected_distinctly(self, service, worker_processes):
+        # A worker process started without the secret exits 2, saying none
+        # was supplied, and leases nothing.
+        worker = _worker_cli(service.url, env=self._env(None))
+        worker_processes.append(worker)
+        _, err = worker.communicate(timeout=60.0)
+        assert worker.returncode == 2
+        assert "none was supplied" in err
+        assert service.queue.status()["runs"][RUN]["pending"] == 1
+        assert service.queue.stats_snapshot()["auth_denials"] == 1
+
+    def test_wrong_token_is_rejected_distinctly(self, service):
+        # A rejected claim leases nothing and never counts the claimant as
+        # an attached worker, so it cannot keep a service whose own fleet
+        # died from failing its runs.
+        client = HttpWorkQueueClient(service.url, timeout=5.0,
+                                     auth_token="not-the-secret")
         with pytest.raises(WorkQueueAuthError, match="rejected"):
-            client.stop_requested()
+            client.claim("intruder")
+        assert service.queue.workers_seen(60.0) == set()
+        assert service.queue.status()["runs"][RUN]["pending"] == 1
 
-    def test_rejection_message_never_contains_either_token(self, auth_queue):
-        client = SocketWorkQueueClient(
-            *auth_queue.address, timeout=5.0, auth_token="attacker-guess"
-        )
+    def test_rejection_message_never_contains_either_token(self, service):
+        client = HttpWorkQueueClient(service.url, timeout=5.0,
+                                     auth_token="attacker-guess")
         with pytest.raises(WorkQueueAuthError) as excinfo:
             client.claim("w1")
         assert self.TOKEN not in str(excinfo.value)
         assert "attacker-guess" not in str(excinfo.value)
 
-    def test_server_without_auth_ignores_a_client_token(self, queue):
-        queue.enqueue(0, "open")
-        client = SocketWorkQueueClient(
-            *queue.address, timeout=5.0, auth_token="superfluous"
-        )
-        assert client.claim("w1") is not None
-
-    def test_worker_exits_immediately_instead_of_retry_looping(self, auth_queue):
-        host, port = auth_queue.address
-        start = time.monotonic()
-        with pytest.raises(WorkQueueAuthError):
-            run_worker(
-                connect=f"{host}:{port}", worker_id="t", poll_interval=0.2,
-                auth_token="wrong",
-            )
-        # The very first poll must raise — a retry loop would burn at
-        # least one poll_interval per attempt.
-        assert time.monotonic() - start < 2.0
-
-    def test_worker_cli_exits_with_clear_message(self, auth_queue, capsys):
-        host, port = auth_queue.address
-        code = worker_main([
-            "--connect", f"{host}:{port}", "--auth-token", "wrong",
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "authentication failed" in err
-        assert self.TOKEN not in err and "wrong" not in err
-
-    def test_worker_cli_rejects_token_with_file_queue(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
-            worker_main([str(tmp_path), "--auth-token", "anything"])
-        assert "no authentication" in capsys.readouterr().err
+    def test_server_without_auth_ignores_a_client_token(self):
+        with CampaignService(workers=0) as daemon:
+            daemon.queue.add_run(RUN)
+            daemon.queue.enqueue_in(RUN, 0, "open")
+            client = HttpWorkQueueClient(daemon.url, timeout=5.0,
+                                         auth_token="superfluous")
+            assert client.claim("w1") is not None
 
     def test_empty_token_rejected_on_both_sides(self):
         with pytest.raises(ValueError, match="non-empty"):
-            SocketWorkQueue(auth_token="")
+            CampaignService(workers=0, auth_tokens=("",))
         with pytest.raises(ValueError, match="non-empty"):
-            SocketWorkQueueClient("127.0.0.1", 1, auth_token="")
+            HttpWorkQueueClient("http://127.0.0.1:1", auth_token="")
+
+    def test_worker_exits_immediately_instead_of_retry_looping(
+        self, service, worker_processes
+    ):
+        # A worker process that polls every 30 s still exits at once: its
+        # first rejected request ends it, no retry waits out a poll.
+        worker = _worker_cli(service.url, "--poll", "30",
+                             env=self._env("wrong"))
+        worker_processes.append(worker)
+        worker.communicate(timeout=20.0)
+        assert worker.returncode == 2
+
+    def test_worker_cli_exits_with_clear_message(self, service, worker_processes):
+        # A real worker process handed a wrong secret the recommended way
+        # (the environment) exits 2 with a message naming neither token.
+        worker = _worker_cli(service.url, env=self._env("guessed-secret"))
+        worker_processes.append(worker)
+        _, err = worker.communicate(timeout=60.0)
+        assert worker.returncode == 2
+        assert "authentication failed" in err
+        assert self.TOKEN not in err and "guessed-secret" not in err
 
     def test_spawned_fleet_token_travels_via_env_not_argv(self, monkeypatch):
-        # The coordinator hands its token to spawned workers through the
+        # The service hands its token to spawned workers through the
         # environment; the subprocess command line must never carry it.
         recorded: list[tuple[list[str], dict]] = []
-        import subprocess
-
         real_popen = subprocess.Popen
 
         def spy(cmd, env=None, **kwargs):
@@ -320,22 +246,18 @@ class TestSocketAuthentication:
 
         monkeypatch.setattr(subprocess, "Popen", spy)
         backend = DistributedBackend(
-            workers=1, transport="socket", lease_timeout=60.0,
-            poll_interval=0.02, auth_token="argv-must-not-see-me",
+            workers=1, lease_timeout=60.0, poll_interval=0.02,
+            auth_token="argv-must-not-see-me",
         )
         assert list(backend.map(_double, [21])) == [42]
         assert recorded, "a worker must have been spawned"
         for cmd, env in recorded:
             assert all("argv-must-not-see-me" not in part for part in cmd)
-            assert env.get("REPRO_CAMPAIGN_AUTH_TOKEN") == "argv-must-not-see-me"
+            assert env.get(AUTH_TOKEN_ENV) == "argv-must-not-see-me"
 
     def test_token_stays_out_of_repr_logs_and_scale_events(self, caplog):
-        import json as json_module
-        import logging
-
         backend = DistributedBackend(
-            workers=0, max_workers=2, transport="socket",
-            lease_timeout=60.0, poll_interval=0.02,
+            workers=0, max_workers=2, lease_timeout=60.0, poll_interval=0.02,
             auth_token="log-must-not-see-me",
         )
         with caplog.at_level(logging.DEBUG):
@@ -343,119 +265,117 @@ class TestSocketAuthentication:
         assert "log-must-not-see-me" not in repr(backend)
         assert "log-must-not-see-me" not in caplog.text
         assert backend.scale_events, "autoscaler must have recorded events"
-        assert "log-must-not-see-me" not in json_module.dumps(
-            backend.scale_events
-        )
+        assert "log-must-not-see-me" not in json.dumps(backend.scale_events)
 
 
 class TestRunWorkerOverTcp:
-    def test_worker_drains_queue(self, queue):
-        for index, item in enumerate([1, 2, 3]):
-            queue.enqueue(index, (_double, item))
-        host, port = queue.address
-        completed = run_worker(
-            connect=f"{host}:{port}", worker_id="t", poll_interval=0.01,
-            max_tasks=3,
-        )
-        assert completed == 3
-        assert queue.collect() == {0: ("ok", 2), 1: ("ok", 4), 2: ("ok", 6)}
+    """The worker CLI in its own process, as every fleet member runs."""
 
-    def test_worker_ships_exceptions_as_data(self, queue):
-        queue.enqueue(0, (_boom, "it"))
-        host, port = queue.address
-        run_worker(connect=f"{host}:{port}", worker_id="t",
-                   poll_interval=0.01, max_tasks=1)
-        status, text = queue.collect()[0]
+    def test_worker_drains_queue(self, queue, worker_processes):
+        for index, item in enumerate([1, 2, 3]):
+            queue.enqueue_in(RUN, index, (_double, item))
+        worker = _worker_cli(queue.url, "--max-tasks", "3")
+        worker_processes.append(worker)
+        assert worker.wait(timeout=60.0) == 0
+        assert queue.collect_run(RUN) == {0: ("ok", 2), 1: ("ok", 4), 2: ("ok", 6)}
+
+    def test_worker_ships_exceptions_as_data(self, queue, worker_processes):
+        # The task's exception is a result, not the worker's death: the
+        # process finishes its quota and exits cleanly.
+        queue.enqueue_in(RUN, 0, (_boom, "it"))
+        worker = _worker_cli(queue.url, "--max-tasks", "1")
+        worker_processes.append(worker)
+        assert worker.wait(timeout=60.0) == 0
+        status, text = queue.collect_run(RUN)[0]
         assert status == "error"
         assert "RuntimeError" in text and "boom on 'it'" in text
 
-    def test_idle_worker_exits_when_coordinator_is_unreachable(self):
-        server = SocketWorkQueue()
-        host, port = server.address
+    def test_idle_worker_exits_when_coordinator_is_unreachable(
+        self, worker_processes
+    ):
+        server = HttpWorkQueue()
+        url = server.url
         server.close()
-        completed = run_worker(
-            connect=f"{host}:{port}", worker_id="t", poll_interval=0.01,
-            orphan_timeout=0.05,
-        )
-        assert completed == 0
+        worker = _worker_cli(url, "--orphan-timeout", "0.05")
+        worker_processes.append(worker)
+        assert worker.wait(timeout=60.0) == 0
 
-    def test_worker_survives_a_coordinator_restart(self):
-        # The live worker keeps polling through the outage (connection
-        # refused degrades to "nothing to claim") and serves the successor
-        # coordinator on the same port under its new run id.
-        first = SocketWorkQueue(run_id="first")
+    def test_worker_survives_a_coordinator_restart(self, worker_processes):
+        # The live worker process keeps polling through the outage
+        # (connection refused degrades to "nothing to claim") and serves
+        # the successor coordinator on the same port.
+        first = HttpWorkQueue()
+        first.add_run("first")
         host, port = first.address
-        first.enqueue(0, (_double, 21))
-
-        done: list[int] = []
-
-        def worker() -> None:
-            done.append(run_worker(
-                connect=f"{host}:{port}", worker_id="survivor",
-                poll_interval=0.01, max_tasks=2, orphan_timeout=30.0,
-            ))
-
-        thread = threading.Thread(target=worker, daemon=True)
-        thread.start()
-        deadline = time.time() + 10.0
-        while not first.collect() and time.time() < deadline:
-            time.sleep(0.01)
-        assert first.collect() == {0: ("ok", 42)}
-        first.close()
-
-        second = SocketWorkQueue(host, port, run_id="second")
+        first.enqueue_in("first", 0, (_double, 21))
+        worker = _worker_cli(
+            f"http://{host}:{port}", "--max-tasks", "2",
+            "--orphan-timeout", "30",
+        )
+        worker_processes.append(worker)
         try:
-            second.enqueue(0, (_double, 100))
-            while not second.collect() and time.time() < deadline:
-                time.sleep(0.01)
-            assert second.collect() == {0: ("ok", 200)}
+            assert _wait_for_results(first, "first", 1) == {0: ("ok", 42)}
         finally:
-            second.request_stop()
-            thread.join(timeout=10.0)
-            second.close()
-        assert done == [2]
+            first.close()
 
-    def test_exactly_one_queue_source_required(self, tmp_path):
-        with pytest.raises(ValueError, match="exactly one"):
-            run_worker(tmp_path, connect="localhost:1")
+        second = HttpWorkQueue(host, port)
+        try:
+            second.add_run("second")
+            second.enqueue_in("second", 0, (_double, 100))
+            assert _wait_for_results(second, "second", 1) == {0: ("ok", 200)}
+            assert worker.wait(timeout=30.0) == 0  # its two tasks are done
+        finally:
+            second.close()
+
+    def test_exactly_one_queue_source_required(self, queue, tmp_path, capsys):
+        # The worker finds its queue one way: --connect-http.  Neither a
+        # missing URL nor a queue directory is a source.
+        with pytest.raises(SystemExit) as excinfo:
+            worker_main([])
+        assert excinfo.value.code == 2
+        assert "--connect-http" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            worker_main(["--connect-http", queue.url, str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
         with pytest.raises(ValueError, match="exactly one"):
             run_worker()
 
 
 class TestDistributedBackendSocketTransport:
-    def test_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="transport"):
-            DistributedBackend(transport="carrier-pigeon")
-        with pytest.raises(ValueError, match="queue_dir applies"):
-            DistributedBackend(transport="socket", queue_dir=str(tmp_path))
-        with pytest.raises(ValueError, match="port applies"):
-            DistributedBackend(transport="file", port=9000)
-        with pytest.raises(ValueError, match="fixed"):
-            DistributedBackend(transport="socket", workers=0)
-        with pytest.raises(ValueError, match="max_workers must be >= workers"):
-            DistributedBackend(workers=4, max_workers=2)
-        with pytest.raises(ValueError, match="max_workers must be at least 1"):
-            DistributedBackend(max_workers=0)
-        # Autoscaling is local-fleet-only: an external attachment point
-        # would let foreign workers eat the retire credits.
-        with pytest.raises(ValueError, match="external-fleet queue_dir"):
-            DistributedBackend(max_workers=4, queue_dir=str(tmp_path))
+    """:class:`~repro.campaign.DistributedBackend` on its in-process
+    service: the options it accepts, empty campaigns, a spawned fleet,
+    remote failures and a fleet that dies."""
+
+    def test_validation(self):
+        # HTTP is the one transport: the options that picked another are
+        # gone, and naming one is an error rather than a silent default.
+        with pytest.raises(TypeError, match="transport"):
+            DistributedBackend(transport="socket")
+        with pytest.raises(TypeError, match="queue_dir"):
+            DistributedBackend(queue_dir="shared")
+        # The fleet rules are the service's own, checked before it binds.
         with pytest.raises(ValueError, match="fixed port"):
-            DistributedBackend(transport="socket", max_workers=4, port=18764)
-        # Legal corners: external socket fleet on a fixed port, and
-        # autoscaling from zero without any attachment point.
-        DistributedBackend(transport="socket", workers=0, port=18765)
-        DistributedBackend(workers=0, max_workers=2)
-        DistributedBackend(transport="socket", workers=0, max_workers=2)
+            CampaignService(max_workers=2, port=_free_port())
+        with pytest.raises(ValueError, match="max_workers must be >= workers"):
+            CampaignService(workers=3, max_workers=2)
 
     def test_empty_items(self):
-        backend = DistributedBackend(workers=1, transport="socket")
-        assert list(backend.map(_double, [])) == []
+        # An empty campaign starts no service: no fleet is spawned, nothing
+        # is recorded, and a fixed port does not linger for external workers.
+        for backend in (
+            DistributedBackend(workers=0, max_workers=2),
+            DistributedBackend(workers=0, port=_free_port()),
+        ):
+            start = time.monotonic()
+            assert list(backend.map(_double, [])) == []
+            assert time.monotonic() - start < 2.0  # the fixed-port linger
+            assert backend.scale_events == [] and backend.queue_stats == {}
 
-    def test_spawned_workers_complete_over_tcp(self):
+    def test_spawned_workers_complete_over_tcp(self, monkeypatch):
+        monkeypatch.delenv(AUTH_TOKEN_ENV, raising=False)
         backend = DistributedBackend(
-            workers=2, transport="socket", lease_timeout=60.0,
-            poll_interval=0.02,
+            workers=2, lease_timeout=60.0, poll_interval=0.02,
         )
         completions = []
         results = list(backend.map(
@@ -463,50 +383,44 @@ class TestDistributedBackendSocketTransport:
         ))
         assert results == [20, 40, 60]
         assert sorted(completions) == [0, 1, 2]
+        assert backend.queue_stats["completions"] == 3
+        assert backend.queue_stats["auth_denials"] == 0
 
     def test_remote_failure_raises_with_traceback(self):
-        backend = DistributedBackend(workers=1, transport="socket",
-                                     lease_timeout=60.0)
-        with pytest.raises(RuntimeError, match="distributed worker failed"):
+        backend = DistributedBackend(workers=1, lease_timeout=60.0)
+        with pytest.raises(RuntimeError) as excinfo:
             list(backend.map(_boom, [1]))
+        message = str(excinfo.value)
+        assert "distributed worker failed on item 0" in message
+        # The worker's own traceback travels with the failure.
+        assert "Traceback" in message and "RuntimeError: boom on 1" in message
 
     def test_all_workers_dead_fails_loudly(self):
-        backend = DistributedBackend(workers=1, transport="socket",
-                                     lease_timeout=60.0, poll_interval=0.05)
-        with pytest.raises(RuntimeError, match="workers exited"):
-            list(backend.map(_exit_hard, [1, 2]))
+        backend = DistributedBackend(workers=2, lease_timeout=60.0,
+                                     poll_interval=0.05)
+        with pytest.raises(RuntimeError, match="all 2 spawned workers exited"):
+            list(backend.map(_exit_hard, [1, 2, 3]))
 
 
 class TestExternalSocketFleet:
-    def test_external_worker_drains_and_exits_on_stop(self):
-        # The documented bring-your-own-fleet flow: workers=0 on a fixed
-        # port, a worker attached by hand (here: in a thread, starting
-        # *before* the server exists — early connection failures must
-        # degrade, not crash).  After the campaign the coordinator lingers
-        # long enough for the idle worker to observe the stop sentinel and
-        # exit promptly — not via the (minutes-long) orphan timeout.
-        import socket as socket_module
+    """A worker process attached by hand to a coordinator's fixed port."""
 
-        with socket_module.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
+    def test_external_worker_drains_and_exits_on_stop(self, worker_processes):
+        # The documented bring-your-own-fleet flow: workers=0 on a fixed
+        # port, a worker process attached by hand — started *before* the
+        # server exists, so early connection failures must degrade, not
+        # crash.  After the campaign the coordinator lingers long enough
+        # for the idle worker to observe the stop sentinel and exit
+        # promptly — not via the (minutes-long) orphan timeout.
+        port = _free_port()
+        worker = _worker_cli(f"http://127.0.0.1:{port}", "--orphan-timeout", "60")
+        worker_processes.append(worker)
         backend = DistributedBackend(
-            workers=0, transport="socket", port=port,
-            lease_timeout=60.0, poll_interval=0.02,
+            workers=0, port=port, lease_timeout=60.0, poll_interval=0.02,
         )
-        done: list[int] = []
-        thread = threading.Thread(
-            target=lambda: done.append(run_worker(
-                connect=f"127.0.0.1:{port}", worker_id="ext",
-                poll_interval=0.02, orphan_timeout=60.0,
-            )),
-            daemon=True,
-        )
-        thread.start()
         assert list(backend.map(_double, [1, 2, 3])) == [2, 4, 6]
-        thread.join(timeout=10.0)
-        assert not thread.is_alive(), "worker must exit on the stop sentinel"
-        assert done == [3]
+        assert worker.wait(timeout=10.0) == 0, "worker must exit on the stop sentinel"
+        assert backend.queue_stats["completions"] == 3
 
 
 class TestAutoscaling:
@@ -522,20 +436,23 @@ class TestAutoscaling:
         assert set(ups[0]) == {"event", "workers", "backlog", "elapsed"}
 
     def test_scales_up_from_zero_over_tcp(self):
-        backend = DistributedBackend(
-            workers=0, max_workers=2, transport="socket",
-            lease_timeout=60.0, poll_interval=0.02,
-        )
-        assert list(backend.map(_double, [4, 5])) == [8, 10]
-        assert any(e["event"] == "scale-up" for e in backend.scale_events)
+        # A standalone daemon scales up from zero for a tenant whose tasks
+        # arrive over its port, not from an in-process run.
+        with CampaignService(workers=0, max_workers=2, lease_timeout=60.0,
+                             poll_interval=0.02) as daemon:
+            backend = ServiceBackend(url=daemon.url, poll_interval=0.02)
+            assert list(backend.map(_double, [4, 5])) == [8, 10]
+            events = list(daemon.scale_events)
+        assert any(e["event"] == "scale-up" for e in events), (
+            "the tenant's backlog must have triggered a scale-up")
+        assert all(e["workers"] <= 2 for e in events)  # ceiling respected
 
     def test_idle_workers_retire_once_backlog_drains(self):
         # Three workers spawn for four tasks; the long tail keeps exactly
         # one busy, so the surplus receives retire credits, exits, and the
         # shrink is recorded as a scale-down event.
         backend = DistributedBackend(
-            workers=0, max_workers=3, transport="socket",
-            lease_timeout=60.0, poll_interval=0.02,
+            workers=0, max_workers=3, lease_timeout=60.0, poll_interval=0.02,
         )
         results = list(backend.map(_sleepy, [0.0, 0.0, 0.0, 2.5]))
         assert results == [0.0, 0.0, 0.0, 2.5]
@@ -549,9 +466,13 @@ class TestAutoscaling:
         )
         list(backend.map(_double, [1]))
         first = list(backend.scale_events)
+        assert first, "first campaign records its events"
         list(backend.map(_double, [2]))
         assert backend.scale_events, "second campaign records its own events"
-        assert backend.scale_events is not first
+        # None of the first campaign's event records is carried over.
+        assert not any(
+            event is old for event in backend.scale_events for old in first
+        )
 
     def test_crash_looping_fleet_is_not_respawned_forever(self):
         backend = DistributedBackend(
